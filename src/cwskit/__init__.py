@@ -7,7 +7,9 @@ decoding observables, and verifies every result against an exact dense
 state-vector oracle at small qubit counts.
 """
 
-from . import cli, cws, gf2, observables, pauli, verify
+import importlib
+
+from . import cws, gf2, observables, pauli, verify
 from .cws import CwsCode, ErrorSet, InvalidCodeError, build_code, detects
 from .observables import (
     DecodingPlan,
@@ -39,3 +41,11 @@ __all__ = [
     "search_type4",
     "verify",
 ]
+
+
+def __getattr__(name):
+    # ``cli`` loads on first access, so ``python -m cwskit.cli`` does not
+    # find it already imported by the package
+    if name == "cli":
+        return importlib.import_module(f"{__name__}.cli")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -41,8 +42,8 @@ from .observables import (
     pauli_normalizer_generators,
     pauli_syndrome_partition,
     stabilizes,
+    syndrome_signs,
 )
-from .pauli import commutes, stabilizer_element
 
 
 class CliError(Exception):
@@ -166,7 +167,14 @@ def cmd_plan(args) -> int:
 
 def _oracle_states(code: CwsCode):
     try:
-        return verify.codeword_states(code)
+        cap = verify.oracle_cap()
+    except ValueError:
+        raise CliError(
+            f"{verify.ORACLE_CAP_ENV} must be an integer, "
+            f"got {os.environ[verify.ORACLE_CAP_ENV]!r}"
+        )
+    try:
+        return verify.codeword_states(code, cap=cap)
     except verify.OracleCapExceeded as exc:
         print(f"warning: oracle skipped ({exc})")
         return None
@@ -241,15 +249,13 @@ def cmd_verify(args) -> int:
             report.print()
             return 0
         states = _oracle_states(code)
-        elements = [stabilizer_element(code.generators, o) for o in plan.pauli_observables]
+        syndromes = syndrome_signs(code, errors, plan.pauli_observables)
         for cls in plan.classes:
             for i in cls.members:
-                signs = tuple(
-                    1 if commutes(s, errors.errors[i]) else -1 for s in elements
-                )
-                if signs != cls.signs:
+                if syndromes[i] != cls.signs:
                     failures.append(
-                        f"class {cls.signs}: member {errors.labels[i]} has syndrome {signs}"
+                        f"class {cls.signs}: member {errors.labels[i]}"
+                        f" has syndrome {syndromes[i]}"
                     )
         for ci, steps in enumerate(plan.refinements):
             for step in steps:
@@ -290,9 +296,15 @@ def cmd_verify(args) -> int:
         for cls in data.get("classes", []):
             name = cls["observable"]
             syndrome = cls["syndrome"]
+            members = list(cls["signs"])
+            unknown = [l for l in members if l not in label_index]
+            if unknown:
+                raise CliError(
+                    f"invalid external table {args.external}: class {syndrome}"
+                    f" names unknown error {unknown[0]!r}"
+                )
             if name not in named:
                 continue
-            members = list(cls["signs"])
             if partition is not None and partition.get(syndrome) != sorted(members):
                 failures.append(
                     f"{syndrome}: expected members {sorted(members)}, "

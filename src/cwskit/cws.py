@@ -83,6 +83,19 @@ def classicalize(code: CwsCode, e: Pauli) -> np.ndarray:
     return e.z ^ gf2.matvec(code.adjacency, e.x)
 
 
+def classical_words(code: CwsCode, errors: "ErrorSet") -> np.ndarray:
+    """|E| x n matrix whose rows are the classical words z + M x of the
+    errors, in order.  S^v commutes with error k exactly when
+    <words[k], v> = 0."""
+    n = code.n
+    for label, e in errors:
+        if e.n != n:
+            raise ValueError(f"error {label!r} acts on {e.n} qubits, code has {n}")
+    x = np.array([e.x for e in errors.errors], dtype=np.uint8).reshape(len(errors), n)
+    z = np.array([e.z for e in errors.errors], dtype=np.uint8).reshape(len(errors), n)
+    return z ^ ((x @ code.adjacency) & 1)  # M is symmetric: x M = (M x)^T
+
+
 @dataclass
 class DetectionResult:
     detected: bool
@@ -197,6 +210,8 @@ def from_dict(d: dict) -> tuple[CwsCode, ErrorSet | None]:
     for key in ("n", "adjacency", "codewords"):
         if key not in d:
             raise InvalidCodeError(f"missing field {key!r}")
+    if not isinstance(d["n"], int) or isinstance(d["n"], bool):
+        raise InvalidCodeError(f"field 'n' must be an integer, got {d['n']!r}")
     adjacency = gf2.parse_matrix(d["adjacency"])
     if adjacency.shape[0] != d["n"]:
         raise InvalidCodeError(

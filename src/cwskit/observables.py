@@ -9,6 +9,11 @@ when <C_i, v> = <C_i, v1> OR <C_i, v2> for all codewords C_i, a linear
 system over GF(2) once the right-hand side is fixed; it measures an error
 set without information leakage exactly when v plus the commutation
 correction of each error still solves that system.
+
+Every commutation question is answered on classical words: S^v commutes
+with an error E = Z^z X^x exactly when <z + M x, v> = 0, so a whole error
+set is handled as one matrix of words (``cws.classical_words``) and
+products of it with exponent vectors, without forming phased Paulis.
 """
 
 from __future__ import annotations
@@ -20,8 +25,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gf2
-from .cws import CwsCode, ErrorSet, classicalize, code_fingerprint, detects
-from .pauli import Pauli, commutes, stabilizer_element
+from .cws import (
+    CwsCode,
+    ErrorSet,
+    classical_words,
+    classicalize,
+    code_fingerprint,
+    detects,
+)
+from .pauli import Pauli
 
 
 class UndetectableError(ValueError):
@@ -111,21 +123,17 @@ def commutation_correction(code: CwsCode, v1, v2, g: Pauli) -> np.ndarray:
     element of (v1, v2).
 
     Returns v1+v2 if g anticommutes with both S^v1 and S^v2, v1 if only
-    with S^v2, v2 if only with S^v1, and 0 otherwise.
+    with S^v2, v2 if only with S^v1, and 0 otherwise; the anticommutation
+    bits are <w, v1> and <w, v2> for the classical word w of g.
     """
     v1 = gf2.as_vector(v1)
     v2 = gf2.as_vector(v2)
     if g.n != code.n:
         raise ValueError(f"operator acts on {g.n} qubits, code has {code.n}")
-    anti1 = not commutes(stabilizer_element(code.generators, v1), g)
-    anti2 = not commutes(stabilizer_element(code.generators, v2), g)
-    if anti1 and anti2:
-        return v1 ^ v2
-    if anti2:
-        return v1.copy()
-    if anti1:
-        return v2.copy()
-    return np.zeros(code.n, dtype=np.uint8)
+    word = classicalize(code, g)
+    anti1 = gf2.dot(word, v1)
+    anti2 = gf2.dot(word, v2)
+    return (v1 * anti2) ^ (v2 * anti1)
 
 
 def stabilization_rhs(code: CwsCode, v1, v2) -> np.ndarray:
@@ -143,34 +151,49 @@ def stabilizes(code: CwsCode, a: Type4Observable) -> bool:
     return np.array_equal(gf2.matvec(code.codewords, a.v), rhs)
 
 
+def _anticommutation(code: CwsCode, words: np.ndarray, a: Type4Observable):
+    """Per classical word: the anticommutation bits with S^v, S^v1, S^v2
+    (an |E| x 3 matrix) and whether the observable leaks on that error.
+
+    The correction of an error with bits (a1, a2) is a2 * v1 + a1 * v2, so
+    v plus the correction solves the stabilization system exactly when
+    C v + a2 * (C v1) + a1 * (C v2) equals the right-hand side.
+    """
+    if a.n != code.n:
+        raise ValueError(f"observable length {a.n} does not match code n={code.n}")
+    exps = np.array([a.v, a.v1, a.v2], dtype=np.uint8)
+    bits = (words @ exps.T) & 1
+    images = (exps @ code.codewords.T) & 1  # C v, C v1, C v2 as rows
+    shifted = images[0] ^ (bits[:, 2:3] & images[1]) ^ (bits[:, 1:2] & images[2])
+    leaks = (shifted != (images[1] | images[2])).any(axis=1)
+    return bits, leaks
+
+
 def is_decoding_observable(code: CwsCode, errors: ErrorSet, a: Type4Observable) -> bool:
     """Main usability criterion: for every error, v plus its commutation
     correction must still solve the stabilization system.  Errors are
     assumed detectable.  The overall sign does not matter here."""
-    rhs = stabilization_rhs(code, a.v1, a.v2)
-    for _, e in errors:
-        shifted = a.v ^ commutation_correction(code, a.v1, a.v2, e)
-        if not np.array_equal(gf2.matvec(code.codewords, shifted), rhs):
-            return False
-    return True
+    _, leaks = _anticommutation(code, classical_words(code, errors), a)
+    return not leaks.any()
 
 
 def eigenvalue_on_error(code: CwsCode, a: Type4Observable, e: Pauli) -> int:
     """Measurement outcome of the observable on any state corrupted by e.
 
     Equals sign * m * (-1)^[correction != 0] where m is the commutation
-    sign of S^v with e.  Raises ValueError when the observable leaks on e,
-    i.e. the usability criterion fails for the singleton {e}.
+    sign of S^v with e; the correction is nonzero exactly when e
+    anticommutes with S^v1 or S^v2.  Raises ValueError when the observable
+    leaks on e, i.e. the usability criterion fails for the singleton {e}.
     """
-    corr = commutation_correction(code, a.v1, a.v2, e)
-    rhs = stabilization_rhs(code, a.v1, a.v2)
-    if not np.array_equal(gf2.matvec(code.codewords, a.v ^ corr), rhs):
+    bits, leaks = _anticommutation(code, classicalize(code, e)[None, :], a)
+    if leaks[0]:
         raise ValueError(
             f"observable leaks on error {e}: shifted exponent does not solve"
             " the stabilization system"
         )
-    m = 1 if commutes(stabilizer_element(code.generators, a.v), e) else -1
-    return a.sign * m * (-1 if corr.any() else 1)
+    anti_v, anti1, anti2 = (int(b) for b in bits[0])
+    flips = anti_v + (anti1 | anti2)
+    return a.sign * (-1 if flips % 2 else 1)
 
 
 @dataclass
@@ -181,6 +204,19 @@ class SyndromeClass:
     members: list[int]
 
 
+def syndrome_signs(
+    code: CwsCode, errors: ErrorSet, observables: list[np.ndarray]
+) -> list[tuple[int, ...]]:
+    """Commutation sign of each error against each S^O, from one product
+    of the classical words with the observable exponents."""
+    for o in observables:
+        if len(o) != code.n:
+            raise ValueError(f"observable length {len(o)} does not match code n={code.n}")
+    exps = np.array(observables, dtype=np.uint8).reshape(len(observables), code.n)
+    bits = (classical_words(code, errors) @ exps.T) & 1
+    return [tuple(1 - 2 * b for b in row) for row in bits.tolist()]
+
+
 def pauli_syndrome_partition(
     code: CwsCode, errors: ErrorSet, observables: list[np.ndarray]
 ) -> list[SyndromeClass]:
@@ -189,10 +225,8 @@ def pauli_syndrome_partition(
     Classes are ordered by sign vector with + before -, members by input
     index; the identity error always lands in the all-plus class.
     """
-    elements = [stabilizer_element(code.generators, o) for o in observables]
     buckets: dict[tuple[int, ...], list[int]] = {}
-    for idx, (_, e) in enumerate(errors):
-        signs = tuple(1 if commutes(s, e) else -1 for s in elements)
+    for idx, signs in enumerate(syndrome_signs(code, errors, observables)):
         buckets.setdefault(signs, []).append(idx)
     ordered = sorted(buckets, key=lambda s: tuple(0 if b == 1 else 1 for b in s))
     return [SyndromeClass(signs, buckets[signs]) for signs in ordered]
@@ -202,22 +236,17 @@ def error_normalizer_elements(code: CwsCode, subset: ErrorSet) -> list[np.ndarra
     """All exponents V with S^V commuting with every error in the subset.
 
     S^V commutes with a Pauli g exactly when <classicalize(g), V> = 0, so
-    the exponents are the kernel of the matrix of classicalized errors.
+    the exponents are the kernel of the matrix of classical words.
     Returned as the full span, ascending as big-endian integers.
     """
-    rows = np.array(
-        [classicalize(code, e) for _, e in subset], dtype=np.uint8
-    ).reshape(len(subset), code.n)
+    rows = classical_words(code, subset)
     return gf2.enumerate_span(gf2.kernel_basis(rows), code.n)
 
 
 def search_space_size(code: CwsCode, subset: ErrorSet, mode: str = "corollary") -> int:
     """Number of candidate (v1, v2) pairs the search may visit."""
     if mode == "corollary":
-        rows = np.array(
-            [classicalize(code, e) for _, e in subset], dtype=np.uint8
-        ).reshape(len(subset), code.n)
-        m = 2 ** (code.n - gf2.rank(rows)) - 1
+        m = 2 ** (code.n - gf2.rank(classical_words(code, subset))) - 1
     elif mode == "exhaustive":
         m = 2 ** code.n - 1
     else:
@@ -233,6 +262,11 @@ def search_type4(
 ) -> Type4Observable | None:
     """First four-term observable splitting the subset, or None.
 
+    The subset must lie inside one Pauli syndrome class (every error
+    commutes alike with every Pauli decoding observable); a subset that
+    spans several classes raises ValueError, since the Pauli layer
+    already separates it.
+
     Candidate exponents are either the normalizer of the subset (fast,
     corollary sound: corrections vanish so usability is automatic once the
     stabilization system solves) or the whole group (exhaustive: usability
@@ -242,30 +276,51 @@ def search_type4(
     """
     if len(subset) < 2:
         raise ValueError("need at least two errors to split")
+    if mode not in ("corollary", "exhaustive"):
+        raise ValueError(f"unknown mode {mode!r}")
+    words = classical_words(code, subset)
+    alpha = _syndrome_offsets(code, subset, words)
     if mode == "corollary":
         elems = error_normalizer_elements(code, subset)
-        cand = [v for v in elems if v.any()]
-    elif mode == "exhaustive":
-        cand = [gf2.from_int(t, code.n) for t in range(1, 2 ** code.n)]
+        candidates = np.array([v for v in elems if v.any()], dtype=np.uint8)
     else:
-        raise ValueError(f"unknown mode {mode!r}")
-    if len(cand) < 2:
+        shifts = np.arange(code.n - 1, -1, -1)
+        candidates = ((np.arange(1, 2 ** code.n)[:, None] >> shifts) & 1).astype(np.uint8)
+    if candidates.shape[0] < 2:
         return None
-    candidates = np.array(cand, dtype=np.uint8)
-    return _pair_search(code, subset, candidates, mode == "exhaustive", workers)
+    return _pair_search(code, words, alpha, candidates, mode == "exhaustive", workers)
+
+
+def _syndrome_offsets(code: CwsCode, subset: ErrorSet, words: np.ndarray) -> np.ndarray:
+    """Rows alpha_t with C^T alpha_t = w_t + w_0 for t = 1, 2, ...
+
+    The difference of two classical words lies in the row space of C
+    exactly when it is orthogonal to ker C, i.e. when the two errors share
+    their Pauli syndrome; otherwise ValueError names the pair.
+    """
+    rows = []
+    for t in range(1, words.shape[0]):
+        solved = gf2.solve(code.codewords.T, words[t] ^ words[0])
+        if solved is None:
+            raise ValueError(
+                f"errors {subset.labels[0]!r} and {subset.labels[t]!r} have different"
+                " Pauli syndromes; search within one syndrome class"
+            )
+        rows.append(solved[0])
+    return np.array(rows, dtype=np.uint8).reshape(len(rows), code.num_codewords)
 
 
 def _pair_search(
     code: CwsCode,
-    subset: ErrorSet,
+    words: np.ndarray,
+    alpha: np.ndarray,
     candidates: np.ndarray,
     exhaustive: bool,
     workers: int,
 ) -> Type4Observable | None:
     c_mat = code.codewords
-    cl = np.array([classicalize(code, e) for _, e in subset], dtype=np.uint8)
-    ipc = (candidates @ c_mat.T) % 2  # <C_i, cand>
-    acl = (candidates @ cl.T) % 2  # anticommutation bits against subset errors
+    ipc = (candidates @ c_mat.T) & 1  # <C_i, cand>
+    acl = (candidates @ words.T) & 1  # anticommutation bits against subset errors
     left = gf2.kernel_basis(c_mat.T)
     left_mat = (
         np.array(left, dtype=np.uint8)
@@ -274,29 +329,10 @@ def _pair_search(
     )
     m = candidates.shape[0]
 
-    # When every classical-word difference cl_t + cl_0 lies in the row
-    # space of C (always true inside one syndrome class), the sign gap
-    # between two errors is <alpha_t, rhs> plus the correction-bit gap,
+    # Inside one syndrome class C^T alpha_t = w_t + w_0, so the sign gap
+    # between errors t and 0 is <alpha_t, rhs> plus the correction-bit gap,
     # independent of which solution v is taken.  That predicts splitting
     # for a whole block of pairs without solving any system.
-    alpha_rows = []
-    for t in range(1, cl.shape[0]):
-        solved = gf2.solve(c_mat.T, cl[t] ^ cl[0])
-        if solved is None:
-            alpha_rows = None
-            break
-        alpha_rows.append(solved[0])
-    alpha = np.array(alpha_rows, dtype=np.uint8) if alpha_rows is not None else None
-
-    def split_by_solution(i: int, j: int, rhs: np.ndarray) -> bool:
-        solved = gf2.solve(c_mat, rhs)
-        if solved is None:
-            return False
-        v = gf2.minimal_solution(*solved)
-        anti = (acl[i] | acl[j]) if exhaustive else np.zeros(len(subset), dtype=np.uint8)
-        lam = ((cl @ v) % 2) ^ anti
-        return lam.min() != lam.max()
-
     def scan(rows: range) -> tuple[int, int] | None:
         for i in rows:
             tail = slice(i + 1, m)
@@ -315,21 +351,13 @@ def _pair_search(
             solvable = consistent & (
                 ((rhs_block @ left_mat.T) % 2 == 0).all(axis=1)
             )
-            if alpha is not None:
-                anti_block = (acl[i][None, :] | acl[tail]) if exhaustive else np.zeros(
-                    (rhs_block.shape[0], cl.shape[0]), dtype=np.uint8
-                )
-                gaps = ((rhs_block @ alpha.T) % 2) ^ (
-                    anti_block[:, 1:] ^ anti_block[:, :1]
-                )
-                hits = np.nonzero(solvable & gaps.any(axis=1))[0]
-                if hits.size:
-                    return i, i + 1 + int(hits[0])
-            else:
-                for j_rel in np.nonzero(solvable)[0]:
-                    j = i + 1 + int(j_rel)
-                    if split_by_solution(i, j, rhs_block[j_rel]):
-                        return i, j
+            gaps = (rhs_block @ alpha.T) & 1
+            if exhaustive:
+                anti_block = acl[i][None, :] | acl[tail]
+                gaps ^= anti_block[:, 1:] ^ anti_block[:, :1]
+            hits = np.nonzero(solvable & gaps.any(axis=1))[0]
+            if hits.size:
+                return i, i + 1 + int(hits[0])
         return None
 
     hit: tuple[int, int] | None = None
@@ -454,6 +482,15 @@ class DecodingPlan:
     def from_dict(cls, d: dict) -> "DecodingPlan":
         labels = [e["label"] for e in d["errors"]]
         index = {l: i for i, l in enumerate(labels)}
+        count = len(d["type4_observables"])
+        for c in d["classes"]:
+            for s in c["steps"]:
+                k = s["observable"]
+                if type(k) is not int or not 0 <= k < count:
+                    raise ValueError(
+                        f"step refers to observable {k!r},"
+                        f" plan has {count} four-term observables"
+                    )
         classes, refinements = [], []
         for c in d["classes"]:
             signs = tuple(1 if ch == "+" else -1 for ch in c["signs"])

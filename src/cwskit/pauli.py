@@ -116,9 +116,15 @@ def weight(p: Pauli) -> int:
 def stabilizer_element(generators: list[Pauli], v) -> Pauli:
     """Product generators[0]^v0 * generators[1]^v1 * ... with exact phase.
 
-    The generators must pairwise commute (independence is assumed, not
-    checked); the fixed ascending order makes the accumulated phase
+    The generators must pairwise commute, which is checked at once on the
+    symplectic Gram matrix X Z^T + Z X^T mod 2 (independence is assumed,
+    not checked); the fixed ascending order makes the accumulated phase
     deterministic even though the result is order-independent.
+
+    This builds the phased operator, which only the I/O boundary and the
+    dense oracle need: whether S^v commutes with an error E = Z^z X^x is
+    the bit <z + M x, v> of the error's classical word (see
+    ``cws.classical_words``) and never requires the product.
     """
     v = gf2.as_vector(v)
     if len(generators) != v.shape[0]:
@@ -129,10 +135,13 @@ def stabilizer_element(generators: list[Pauli], v) -> Pauli:
     for g in generators:
         if g.n != n:
             raise ValueError("generators act on different qubit counts")
-    for i in range(len(generators)):
-        for j in range(i + 1, len(generators)):
-            if not commutes(generators[i], generators[j]):
-                raise ValueError(f"generators {i} and {j} do not commute")
+    x = np.array([g.x for g in generators])
+    z = np.array([g.z for g in generators])
+    gram = ((x @ z.T) ^ (z @ x.T)) & 1
+    clash = np.argwhere(np.triu(gram, 1))
+    if clash.size:
+        i, j = (int(k) for k in clash[0])
+        raise ValueError(f"generators {i} and {j} do not commute")
     acc = Pauli.identity(n)
     for g, bit in zip(generators, v):
         if bit:

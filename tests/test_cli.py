@@ -1,10 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from cwskit.cli import main
-from conftest import CODE_FILE, TABLE_FILE
+from conftest import CODE_FILE, REPO, TABLE_FILE
 
 CODE = str(CODE_FILE)
 TABLE = str(TABLE_FILE)
@@ -166,3 +169,59 @@ class TestVerify:
         assert main(["verify", CODE, "--plan", str(plan_file)]) == 0
         out = capsys.readouterr().out
         assert "oracle skipped" in out
+
+
+def unknown_external_label(tmp_path, monkeypatch):
+    data = json.loads(Path(TABLE).read_text())
+    signs = data["classes"][0]["signs"]
+    signs["Q99"] = signs.pop(next(iter(signs)))
+    table = write_json(tmp_path / "table.json", data)
+    return ["verify", CODE, "--external", table], "unknown error 'Q99'"
+
+
+def plan_observable_out_of_range(tmp_path, monkeypatch):
+    plan_file = tmp_path / "plan.json"
+    assert main(["plan", CODE, "--out", str(plan_file)]) == 0
+    data = json.loads(plan_file.read_text())
+    data["classes"][0]["steps"][0]["observable"] = 99
+    return ["verify", CODE, "--plan", write_json(plan_file, data)], "observable 99"
+
+
+def qubit_count_as_string(tmp_path, monkeypatch):
+    data = json.loads(Path(CODE).read_text())
+    data["n"] = "10"
+    return ["analyze", write_json(tmp_path / "code.json", data)], "'n' must be an integer"
+
+
+def oracle_cap_not_an_integer(tmp_path, monkeypatch):
+    plan_file = tmp_path / "plan.json"
+    assert main(["plan", CODE, "--out", str(plan_file)]) == 0
+    monkeypatch.setenv("CWS_ORACLE_CAP", "x")
+    return ["verify", CODE, "--plan", str(plan_file)], "CWS_ORACLE_CAP must be an integer"
+
+
+@pytest.mark.parametrize("fault", [
+    unknown_external_label,
+    plan_observable_out_of_range,
+    qubit_count_as_string,
+    oracle_cap_not_an_integer,
+])
+def test_input_fault_exits_one_with_single_error_line(fault, tmp_path, monkeypatch, capsys):
+    argv, message = fault(tmp_path, monkeypatch)
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert message in err[0]
+
+
+def test_module_entry_point_runs_without_runtime_warning():
+    env = dict(os.environ)
+    src = str(REPO / "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "cwskit.cli", "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "usage: cwskit" in result.stdout

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cwskit import cws, gf2, verify
 from cwskit.cws import build_code, classicalize
@@ -18,6 +20,56 @@ from cwskit.observables import (
 from cwskit.pauli import Pauli, commutes, stabilizer_element
 from conftest import random_code
 from dense_oracle import pauli_matrix, stabilizer_matrix, type4_matrix
+
+
+def random_pauli(rng, n):
+    return Pauli(rng.integers(0, 2, n), rng.integers(0, 2, n), int(rng.integers(0, 4)))
+
+
+def random_observable(rng, code, stabilizing):
+    """Random four-term observable; with ``stabilizing`` its v solves the
+    stabilization system whenever that system is solvable."""
+    n = code.n
+    ints = rng.choice(np.arange(1, 2 ** n), size=2, replace=False)
+    v1, v2 = gf2.from_int(int(ints[0]), n), gf2.from_int(int(ints[1]), n)
+    v = rng.integers(0, 2, n).astype(np.uint8)
+    solved = gf2.solve(code.codewords, stabilization_rhs(code, v1, v2))
+    if stabilizing and solved is not None:
+        v = solved[0]
+    return Type4Observable(v, v1, v2, sign=int(rng.choice([1, -1])))
+
+
+def reference_correction(code, v1, v2, g):
+    """Commutation correction read off phased stabilizer products."""
+    anti1 = not commutes(stabilizer_element(code.generators, v1), g)
+    anti2 = not commutes(stabilizer_element(code.generators, v2), g)
+    corr = np.zeros(code.n, dtype=np.uint8)
+    if anti1:
+        corr ^= v2
+    if anti2:
+        corr ^= v1
+    return corr
+
+
+def reference_eigenvalue(code, obs, g):
+    """Outcome of obs on a state corrupted by g from phased stabilizer
+    products, or None when obs leaks on g."""
+    corr = reference_correction(code, obs.v1, obs.v2, g)
+    rhs = stabilization_rhs(code, obs.v1, obs.v2)
+    if not np.array_equal(gf2.matvec(code.codewords, obs.v ^ corr), rhs):
+        return None
+    m = 1 if commutes(stabilizer_element(code.generators, obs.v), g) else -1
+    return obs.sign * m * (-1 if corr.any() else 1)
+
+
+def reference_partition(code, errors, observables):
+    """(signs, members) per syndrome class, + before -, from phased products."""
+    elements = [stabilizer_element(code.generators, o) for o in observables]
+    buckets = {}
+    for idx, (_, e) in enumerate(errors):
+        signs = tuple(1 if commutes(s, e) else -1 for s in elements)
+        buckets.setdefault(signs, []).append(idx)
+    return [(s, buckets[s]) for s in sorted(buckets, key=lambda s: [-b for b in s])]
 
 
 def label_index(errors, label):
@@ -140,6 +192,37 @@ class TestCommutationCorrection:
             g = Pauli(rng.integers(0, 2, n), rng.integers(0, 2, n))
             direct = commutes(stabilizer_element(code.generators, v), g)
             assert direct == (gf2.dot(classicalize(code, g), v) == 0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 6), st.integers(0, 2 ** 32 - 1), st.booleans())
+    def test_classical_words_match_pauli_reference(self, n, seed, stabilizing):
+        # the classical-word forms of the usability criterion, the sign and
+        # the syndrome partition against the phased-product references
+        rng = np.random.default_rng(seed)
+        code = random_code(rng, n)
+        count = int(rng.integers(0, 6))
+        errors = cws.ErrorSet(
+            [random_pauli(rng, n) for _ in range(count)] + [Pauli.identity(n)],
+            [f"E{k}" for k in range(count)] + ["I"],
+        )
+        obs = random_observable(rng, code, stabilizing)
+        expected = [reference_eigenvalue(code, obs, e) for _, e in errors]
+        assert is_decoding_observable(code, errors, obs) == (None not in expected)
+        for k, (_, e) in enumerate(errors):
+            assert is_decoding_observable(code, errors.subset([k]), obs) == (
+                expected[k] is not None
+            )
+            if expected[k] is None:
+                with pytest.raises(ValueError, match="leaks"):
+                    eigenvalue_on_error(code, obs, e)
+            else:
+                assert eigenvalue_on_error(code, obs, e) == expected[k]
+        layer = [rng.integers(0, 2, n).astype(np.uint8) for _ in range(int(rng.integers(0, 4)))]
+        for observables in (layer, pauli_normalizer_generators(code)):
+            classes = pauli_syndrome_partition(code, errors, observables)
+            assert [(c.signs, c.members) for c in classes] == reference_partition(
+                code, errors, observables
+            )
 
 
 class TestStabilization:
@@ -354,6 +437,15 @@ class TestSearch:
     def test_singleton_subset_rejected(self, ring_code, ring_errors):
         with pytest.raises(ValueError, match="two errors"):
             search_type4(ring_code, subset_by_labels(ring_errors, ["Y2"]))
+
+    @pytest.mark.parametrize("mode", ["corollary", "exhaustive"])
+    def test_subset_spanning_several_syndromes_rejected(self, ring_code, ring_errors, mode):
+        # Y2 and X7 sit in different classes of the published Pauli layer
+        sub = subset_by_labels(ring_errors, ["Y2", "Z1", "X7"])
+        basis = pauli_normalizer_generators(ring_code)
+        assert len(pauli_syndrome_partition(ring_code, sub, basis)) == 2
+        with pytest.raises(ValueError, match="'Y2' and 'X7' have different Pauli syndromes"):
+            search_type4(ring_code, sub, mode=mode)
 
     def test_absence_when_classical_words_coincide(self):
         # X1 and Z2 share the classical word 01 on the two-vertex edge

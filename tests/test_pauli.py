@@ -145,6 +145,13 @@ class TestStabilizerElement:
         with pytest.raises(ValueError):
             stabilizer_element(gens, [1, 1])
 
+    def test_names_first_non_commuting_pair(self):
+        # (0, 3) and (1, 2) clash; the pair reported is the first in
+        # (i, j) order, whatever the exponent
+        gens = [Pauli.from_string(s) for s in ("ZIII", "IZII", "IXII", "XIII")]
+        with pytest.raises(ValueError, match="generators 0 and 3 do not commute"):
+            stabilizer_element(gens, [0, 0, 0, 0])
+
     @settings(max_examples=40)
     @given(st.integers(2, 5), st.data())
     def test_product_rule_against_oracle(self, n, data):
