@@ -92,7 +92,7 @@ def _load_code(path: str) -> tuple[CwsCode, ErrorSet | None]:
 def _resolve_errors(code: CwsCode, file_errors: ErrorSet | None, errors_path: str | None) -> ErrorSet:
     if errors_path:
         data = _load_json(errors_path)
-        entries = data["errors"] if isinstance(data, dict) else data
+        entries = data.get("errors") if isinstance(data, dict) else data
         try:
             return errors_from_entries(entries, code.n)
         except ValueError as exc:
@@ -100,6 +100,32 @@ def _resolve_errors(code: CwsCode, file_errors: ErrorSet | None, errors_path: st
     if file_errors is not None:
         return file_errors
     return ErrorSet.weight_one(code.n)
+
+
+def _check_external_table(data, path: str) -> None:
+    """Reject an external table whose layout the checks cannot read."""
+
+    def invalid(detail: str) -> CliError:
+        return CliError(f"invalid external table {path}: {detail}")
+
+    if not isinstance(data, dict) or not isinstance(data.get("observables"), list):
+        raise invalid("needs an 'observables' list")
+    for k, entry in enumerate(data["observables"]):
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            raise invalid(f"observables[{k}] needs a string 'name'")
+    classes = data.get("classes", [])
+    if not isinstance(classes, list):
+        raise invalid("'classes' must be a list")
+    for k, cls in enumerate(classes):
+        if not isinstance(cls, dict):
+            raise invalid(f"classes[{k}] must be an object")
+        for key, kind, noun in (
+            ("observable", str, "a string"),
+            ("syndrome", str, "a string"),
+            ("signs", dict, "an object"),
+        ):
+            if not isinstance(cls.get(key), kind):
+                raise invalid(f"classes[{k}] needs {noun} {key!r}")
 
 
 def cmd_analyze(args) -> int:
@@ -268,6 +294,7 @@ def cmd_verify(args) -> int:
                 oracle_failed += f
     else:
         data = _load_json(args.external)
+        _check_external_table(data, args.external)
         errors = _resolve_errors(code, file_errors, None)
         label_index = {l: i for i, l in enumerate(errors.labels)}
         named: dict[str, Type4Observable] = {}
@@ -360,7 +387,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode", choices=("corollary", "exhaustive"), default="corollary",
         help="candidate space for the pair search",
     )
-    p_plan.add_argument("--workers", type=int, default=1, help="parallel search workers")
+    p_plan.add_argument(
+        "--workers", type=int, default=1,
+        help="accepted for compatibility; the pair scan is serial and the flag"
+        " changes neither the result nor the scan",
+    )
     p_plan.add_argument("--out", help="write the plan JSON here")
     p_plan.add_argument(
         "--seed", type=int, default=None,

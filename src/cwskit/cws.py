@@ -182,13 +182,26 @@ class ErrorSet:
 
 
 def errors_from_entries(entries, n: int) -> ErrorSet:
-    """Build an ErrorSet from strings or {"label","pauli"} mappings."""
+    """Build an ErrorSet from strings or {"label","pauli"} mappings.
+
+    Any other entry, or a mapping without string ``label`` and ``pauli``,
+    raises ValueError.
+    """
+    if not isinstance(entries, list):
+        raise ValueError(f"errors must be a list, got {entries!r}")
     errors, labels = [], []
-    for entry in entries:
+    for k, entry in enumerate(entries):
         if isinstance(entry, str):
             label, text = entry, entry
-        else:
+        elif isinstance(entry, dict) and all(
+            isinstance(entry.get(key), str) for key in ("label", "pauli")
+        ):
             label, text = entry["label"], entry["pauli"]
+        else:
+            raise ValueError(
+                f"error entry {k} must be a Pauli string or an object with string"
+                f" 'label' and 'pauli', got {entry!r}"
+            )
         p = Pauli.from_string(text)
         if p.n != n:
             raise ValueError(f"error {label!r} acts on {p.n} qubits, expected {n}")

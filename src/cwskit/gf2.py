@@ -191,10 +191,23 @@ def in_rowspace(m, v) -> bool:
 
 
 def enumerate_span(basis: list[np.ndarray], n: int) -> list[np.ndarray]:
-    """All vectors in the span of ``basis``, ascending as big-endian integers."""
-    span = [np.zeros(n, dtype=np.uint8)]
-    for b in basis:
-        b = as_vector(b)
-        span.extend(v ^ b for v in list(span))
-    span.sort(key=to_int)
-    return span
+    """All vectors in the span of ``basis``, ascending as big-endian integers.
+
+    Each vector is held as ceil(n / 64) big-endian 64-bit words (position 0
+    is the top bit of word 0), so the span is formed by XOR doubling on
+    integers, sorted natively, and unpacked with one bit shift.
+    """
+    width = max(1, -(-n // 64))
+    packed = np.zeros((len(basis), 8 * width), dtype=np.uint8)
+    if basis:
+        mat = as_matrix(np.array(basis))
+        if mat.shape[1] != n:
+            raise ValueError(f"basis vectors have length {mat.shape[1]}, expected {n}")
+        packed[:, : -(-n // 8)] = np.packbits(mat, axis=1)
+    span = np.zeros((1, width), dtype=np.uint64)
+    for word in packed.view(">u8").astype(np.uint64):
+        span = np.concatenate([span, span ^ word])
+    span = span[np.lexsort(span.T[::-1])]
+    pos = np.arange(n)
+    bits = (span[:, pos // 64] >> (63 - pos % 64).astype(np.uint64)) & np.uint64(1)
+    return list(bits.astype(np.uint8))

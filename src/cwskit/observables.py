@@ -19,7 +19,6 @@ products of it with exponent vectors, without forming phased Paulis.
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,6 +103,9 @@ class Type4Observable:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Type4Observable":
+        for key in ("v", "v1", "v2"):
+            if key not in d:
+                raise ValueError(f"missing field {key!r}")
         return cls(
             gf2.parse_vector(d["v"]),
             gf2.parse_vector(d["v1"]),
@@ -272,7 +274,9 @@ def search_type4(
     stabilization system solves) or the whole group (exhaustive: usability
     is enforced through the correction consistency condition).  Pairs are
     visited in ascending big-endian order with v1 < v2; the stabilization
-    solution is the coset minimum, so results are reproducible.
+    solution is the coset minimum, so results are reproducible.  The scan
+    is serial: ``workers`` is accepted for compatibility and changes
+    neither the result nor the scan.
     """
     if len(subset) < 2:
         raise ValueError("need at least two errors to split")
@@ -281,14 +285,14 @@ def search_type4(
     words = classical_words(code, subset)
     alpha = _syndrome_offsets(code, subset, words)
     if mode == "corollary":
-        elems = error_normalizer_elements(code, subset)
-        candidates = np.array([v for v in elems if v.any()], dtype=np.uint8)
+        elems = error_normalizer_elements(code, subset)[1:]  # skip the zero vector
+        candidates = np.array(elems, dtype=np.uint8).reshape(len(elems), code.n)
     else:
         shifts = np.arange(code.n - 1, -1, -1)
         candidates = ((np.arange(1, 2 ** code.n)[:, None] >> shifts) & 1).astype(np.uint8)
     if candidates.shape[0] < 2:
         return None
-    return _pair_search(code, words, alpha, candidates, mode == "exhaustive", workers)
+    return _pair_search(code, words, alpha, candidates)
 
 
 def _syndrome_offsets(code: CwsCode, subset: ErrorSet, words: np.ndarray) -> np.ndarray:
@@ -310,86 +314,133 @@ def _syndrome_offsets(code: CwsCode, subset: ErrorSet, words: np.ndarray) -> np.
     return np.array(rows, dtype=np.uint8).reshape(len(rows), code.num_codewords)
 
 
+# Pairs per scan block.  Blocks start at one row of the pair triangle and
+# double up to this cap, so an early hit stays cheap and the per-block
+# temporaries stay at a few hundred kilobytes however large the scan.
+_BLOCK_CAP = 4096
+
+
+def _pack_rows(bits: np.ndarray) -> np.ndarray:
+    """Rows of a 0/1 matrix as little-endian 64-bit words: bit t of a row is
+    bit t % 64 of word t // 64, with zero padding after the last column."""
+    rows, cols = bits.shape
+    packed = np.zeros((rows, 8 * max(1, -(-cols // 64))), dtype=np.uint8)
+    packed[:, : -(-cols // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    return packed.view("<u8")
+
+
+def _parity_table(mat: np.ndarray) -> np.ndarray:
+    """Byte tables for the GF(2) map x -> mat x on packed vectors.
+
+    ``table[b, y]`` holds the packed parities of the rows of ``mat`` against
+    a vector whose only nonzero byte is byte b with value y, so the packed
+    ``mat x`` is the XOR over b of ``table[b, byte b of x]``.
+    """
+    rows, cols = mat.shape
+    nbytes = -(-cols // 8)
+    padded = np.zeros((rows, nbytes * 8), dtype=np.uint8)
+    padded[:, :cols] = mat
+    byte_bits = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(np.uint8)
+    per_byte = padded.reshape(rows, nbytes, 8).transpose(2, 1, 0).reshape(8, nbytes * rows)
+    parities = (byte_bits @ per_byte) & 1  # (value, byte * row)
+    parities = parities.reshape(256, nbytes, rows).transpose(1, 0, 2)
+    return _pack_rows(parities.reshape(nbytes * 256, rows)).reshape(nbytes, 256, -1)
+
+
+def _nonzero(words: np.ndarray) -> np.ndarray:
+    """Per row of packed words: whether any bit is set."""
+    acc = words[:, 0]
+    for k in range(1, words.shape[1]):
+        acc = acc | words[:, k]
+    return acc != 0
+
+
 def _pair_search(
-    code: CwsCode,
-    words: np.ndarray,
-    alpha: np.ndarray,
-    candidates: np.ndarray,
-    exhaustive: bool,
-    workers: int,
+    code: CwsCode, words: np.ndarray, alpha: np.ndarray, candidates: np.ndarray
 ) -> Type4Observable | None:
+    """First pair (i, j), i < j, of candidate rows whose four-term element
+    is usable on the subset and splits it, as a solved observable.
+
+    Every candidate is packed once into 64-bit words: its image C v over
+    the K codewords, and its anticommutation bits a[t] against the |S|
+    subset errors taken relative to error 0, f[t] = a[t] + a[0].
+
+    Usability.  The correction of error t shifts the stabilization system
+    by a_i[t] C v_j + a_j[t] C v_i, and the pair is usable when every shift
+    equals error 0's.  An error with f_i[t] = 1 only, f_j[t] = 1 only, or
+    both has a shift that differs by C v_j, C v_i or C v_i + C v_j.  A pair
+    with C v_i = 0 never splits a syndrome class (S^v_i is then a Pauli
+    decoding observable, so f_i = 0 and the sign gaps cancel), and likewise
+    for v_j.  So the scan keeps a pair exactly when f_i = f_j and, if f_i
+    is nonzero, C v_i = C v_j.
+
+    Solvability and splitting.  The shifted right-hand side is
+    (C v_i | C v_j) + C u with u = a_i[0] v_j + a_j[0] v_i.  As
+    C^T alpha_t = w_t + w_0, the commutation gap of S^v between errors t
+    and 0 is <alpha_t, C v> for every solution v.  For a kept pair,
+    <alpha_t, C u> = <w_t + w_0, u> and the gap of the correction bits
+    add up to f_i[t].  So the system is solvable when the left kernel of C
+    annihilates C v_i | C v_j, and error t's sign differs from error 0's
+    when <alpha_t, C v_i | C v_j> + f_i[t] = 1.  Both parities come from
+    byte tables.  In corollary mode the candidates commute with the
+    subset, so every f is zero.
+    """
     c_mat = code.codewords
-    ipc = (candidates @ c_mat.T) & 1  # <C_i, cand>
-    acl = (candidates @ words.T) & 1  # anticommutation bits against subset errors
+    images = _pack_rows((candidates @ c_mat.T) & 1)
+    anti = _pack_rows((candidates @ words.T) & 1)
+    errs, width = words.shape[0], anti.shape[1]
+    valid = _pack_rows(np.ones((1, errs), dtype=np.uint8))[0]
+    flipped = anti ^ ((anti[:, :1] & 1) * valid)
+    any_flipped = _nonzero(flipped)
+    # parity bit t < 64 * width is <alpha_t, rhs>, aligned with the flipped
+    # words (0 for error 0); the bits after them are the left kernel of C
     left = gf2.kernel_basis(c_mat.T)
-    left_mat = (
-        np.array(left, dtype=np.uint8)
-        if left
-        else np.zeros((0, c_mat.shape[0]), dtype=np.uint8)
-    )
+    parity_rows = np.zeros((64 * width + len(left), c_mat.shape[0]), dtype=np.uint8)
+    parity_rows[1:errs] = alpha
+    if left:
+        parity_rows[64 * width:] = left
+    table = _parity_table(parity_rows)
+
     m = candidates.shape[0]
-
-    # Inside one syndrome class C^T alpha_t = w_t + w_0, so the sign gap
-    # between errors t and 0 is <alpha_t, rhs> plus the correction-bit gap,
-    # independent of which solution v is taken.  That predicts splitting
-    # for a whole block of pairs without solving any system.
-    def scan(rows: range) -> tuple[int, int] | None:
-        for i in rows:
-            tail = slice(i + 1, m)
-            p_block = ipc[i] | ipc[tail]
-            if exhaustive:
-                # correction per error: a1 * v2 + a2 * v1, so its image
-                # under C is a1 * (C v2) + a2 * (C v1)
-                d_block = (acl[i][None, :, None] & ipc[tail][:, None, :]) ^ (
-                    acl[tail][:, :, None] & ipc[i][None, None, :]
-                )
-                consistent = (d_block == d_block[:, :1, :]).all(axis=(1, 2))
-                rhs_block = p_block ^ d_block[:, 0, :]
-            else:
-                consistent = np.ones(p_block.shape[0], dtype=bool)
-                rhs_block = p_block
-            solvable = consistent & (
-                ((rhs_block @ left_mat.T) % 2 == 0).all(axis=1)
+    rows = np.arange(m)
+    row_start = rows * m - rows * (rows + 1) // 2  # scan position of (i, i + 1)
+    row_stop = np.append(row_start[1:], row_start[-1])
+    total = m * (m - 1) // 2
+    start, size, row = 0, min(m - 1, _BLOCK_CAP), 0
+    while start < total:
+        stop = min(total, start + size)
+        last = row + int(np.searchsorted(row_start[row:], stop)) - 1
+        block_rows = slice(row, last + 1)
+        counts = np.minimum(row_stop[block_rows], stop) - np.maximum(row_start[block_rows], start)
+        i = np.repeat(rows[block_rows], counts)
+        j = np.arange(start, stop) - row_start[i] + i + 1
+        ci, cj = images.take(i, axis=0), images.take(j, axis=0)
+        fi, fj = flipped.take(i, axis=0), flipped.take(j, axis=0)
+        rejected = _nonzero(fi ^ fj) | (any_flipped.take(i) & _nonzero(ci ^ cj))
+        rhs_bytes = (ci | cj).view(np.uint8)
+        parity = table[0].take(rhs_bytes[:, 0], axis=0)
+        for b in range(1, table.shape[0]):
+            parity ^= table[b].take(rhs_bytes[:, b], axis=0)
+        gaps = parity[:, :width] ^ fi
+        hits = np.flatnonzero(~rejected & ~_nonzero(parity[:, width:]) & _nonzero(gaps))
+        if hits.size:
+            return _solved_observable(
+                code, words, candidates[i[hits[0]]], candidates[j[hits[0]]]
             )
-            gaps = (rhs_block @ alpha.T) & 1
-            if exhaustive:
-                anti_block = acl[i][None, :] | acl[tail]
-                gaps ^= anti_block[:, 1:] ^ anti_block[:, :1]
-            hits = np.nonzero(solvable & gaps.any(axis=1))[0]
-            if hits.size:
-                return i, i + 1 + int(hits[0])
-        return None
+        start, row = stop, last
+        size = min(2 * size, _BLOCK_CAP)
+    return None
 
-    hit: tuple[int, int] | None = None
-    if workers <= 1:
-        hit = scan(range(m))
-    else:
-        # waves of equally ranked chunks: results are merged in candidate
-        # order, so the outcome is identical to the sequential scan
-        chunk = max(1, -(-m // (workers * 8)))
-        ranges = [range(s, min(s + chunk, m)) for s in range(0, m, chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for start in range(0, len(ranges), workers):
-                wave = ranges[start:start + workers]
-                for res in pool.map(scan, wave):
-                    if res is not None:
-                        hit = res
-                        break
-                if hit is not None:
-                    break
-    if hit is None:
-        return None
-    i, j = hit
-    if exhaustive:
-        d0 = (acl[i][0] & ipc[j]) ^ (acl[j][0] & ipc[i])
-        rhs = (ipc[i] | ipc[j]) ^ d0
-    else:
-        rhs = ipc[i] | ipc[j]
-    solved = gf2.solve(c_mat, rhs)
+
+def _solved_observable(code: CwsCode, words: np.ndarray, v1, v2) -> Type4Observable:
+    """The observable of (v1, v2) whose v is the smallest solution of the
+    stabilization system shifted by the correction of error 0."""
+    img1 = gf2.matvec(code.codewords, v1)
+    img2 = gf2.matvec(code.codewords, v2)
+    rhs = (img1 | img2) ^ (img2 * gf2.dot(words[0], v1)) ^ (img1 * gf2.dot(words[0], v2))
+    solved = gf2.solve(code.codewords, rhs)
     assert solved is not None
-    return Type4Observable(
-        gf2.minimal_solution(*solved), candidates[i], candidates[j]
-    )
+    return Type4Observable(gf2.minimal_solution(*solved), v1, v2)
 
 
 @dataclass

@@ -200,11 +200,39 @@ def oracle_cap_not_an_integer(tmp_path, monkeypatch):
     return ["verify", CODE, "--plan", str(plan_file)], "CWS_ORACLE_CAP must be an integer"
 
 
+def external_table_without_observables(tmp_path, monkeypatch):
+    table = write_json(tmp_path / "table.json", {"classes": []})
+    return ["verify", CODE, "--external", table], "needs an 'observables' list"
+
+
+def external_entry_without_name(tmp_path, monkeypatch):
+    data = json.loads(Path(TABLE).read_text())
+    del data["observables"][2]["name"]
+    table = write_json(tmp_path / "table.json", data)
+    return ["verify", CODE, "--external", table], "observables[2] needs a string 'name'"
+
+
+def external_class_without_observable(tmp_path, monkeypatch):
+    data = json.loads(Path(TABLE).read_text())
+    del data["classes"][1]["observable"]
+    table = write_json(tmp_path / "table.json", data)
+    return ["verify", CODE, "--external", table], "classes[1] needs a string 'observable'"
+
+
+def error_entry_not_string_or_object(tmp_path, monkeypatch):
+    errors = write_json(tmp_path / "errors.json", {"errors": [5]})
+    return ["plan", CODE, "--errors", errors], "error entry 0 must be a Pauli string"
+
+
 @pytest.mark.parametrize("fault", [
     unknown_external_label,
     plan_observable_out_of_range,
     qubit_count_as_string,
     oracle_cap_not_an_integer,
+    external_table_without_observables,
+    external_entry_without_name,
+    external_class_without_observable,
+    error_entry_not_string_or_object,
 ])
 def test_input_fault_exits_one_with_single_error_line(fault, tmp_path, monkeypatch, capsys):
     argv, message = fault(tmp_path, monkeypatch)

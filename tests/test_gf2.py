@@ -193,3 +193,33 @@ class TestSerialization:
         a = gf2.rref(ring_code.codewords)
         b = gf2.rref(ring_code.codewords)
         assert np.array_equal(a[0], b[0]) and a[1] == b[1]
+
+
+class TestEnumerateSpan:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        n=st.sampled_from([1, 3, 8, 9, 63, 64, 65, 130]),
+        size=st.integers(0, 6),
+    )
+    def test_ascending_big_endian_against_brute_force(self, seed, n, size):
+        rng = np.random.default_rng(seed)
+        basis = [rng.integers(0, 2, n).astype(np.uint8) for _ in range(size)]
+        if size > 1 and rng.integers(0, 2):
+            basis.append(basis[0] ^ basis[1])  # dependent basis: repeats kept
+        brute = []
+        for mask in range(2 ** len(basis)):
+            v = np.zeros(n, dtype=np.uint8)
+            for k, b in enumerate(basis):
+                if mask >> k & 1:
+                    v ^= b
+            brute.append(v)
+        span = gf2.enumerate_span(basis, n)
+        assert all(v.dtype == np.uint8 and v.shape == (n,) for v in span)
+        assert [gf2.to_int(v) for v in span] == [
+            gf2.to_int(v) for v in sorted(brute, key=gf2.to_int)
+        ]
+
+    def test_rejects_basis_of_other_length(self):
+        with pytest.raises(ValueError):
+            gf2.enumerate_span([np.ones(4, dtype=np.uint8)], 5)

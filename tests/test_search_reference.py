@@ -1,0 +1,121 @@
+"""The packed pair-scan kernel of ``search_type4`` against a brute-force
+first-hit search built only from the public definitions.
+
+The reference walks candidate pairs (v1, v2) in the documented order
+(ascending big-endian, v1 before v2) and, for each pair, every v in
+ascending order that makes error 0 usable; it returns the first
+observable that ``is_decoding_observable`` accepts and on which
+``eigenvalue_on_error`` takes both signs.  The kernel must return the
+same observable, or None exactly when the reference finds nothing.
+"""
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from cwskit import cws, gf2
+from cwskit.cws import build_code, classicalize
+from cwskit.observables import (
+    Type4Observable,
+    commutation_correction,
+    eigenvalue_on_error,
+    is_decoding_observable,
+    pauli_normalizer_generators,
+    pauli_syndrome_partition,
+    search_type4,
+    stabilization_rhs,
+)
+from cwskit.pauli import Pauli
+
+MODES = st.sampled_from(["corollary", "exhaustive"])
+
+
+def reference_first_hit(code, subset, mode):
+    n = code.n
+    every = ((np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
+    words = np.array([classicalize(code, e) for e in subset.errors])
+    if mode == "corollary":
+        candidates = list(every[1:][~((every[1:] @ words.T) & 1).any(axis=1)])
+    else:
+        candidates = list(every[1:])
+    # every v with C v = target, ascending
+    solutions: dict[bytes, list[np.ndarray]] = {}
+    for v, image in zip(every, (every @ code.codewords.T) & 1):
+        solutions.setdefault(image.tobytes(), []).append(v)
+    first_error = subset.errors[0]
+    for a, v1 in enumerate(candidates):
+        for v2 in candidates[a + 1:]:
+            # error 0 is usable exactly when v plus its correction solves
+            # the stabilization system
+            shift = gf2.matvec(
+                code.codewords, commutation_correction(code, v1, v2, first_error)
+            )
+            target = stabilization_rhs(code, v1, v2) ^ shift
+            for v in solutions.get(target.tobytes(), []):
+                obs = Type4Observable(v, v1, v2)
+                if not is_decoding_observable(code, subset, obs):
+                    continue
+                signs = {eigenvalue_on_error(code, obs, e) for e in subset.errors}
+                if len(signs) > 1:
+                    return obs
+    return None
+
+
+def random_graph_code(rng, n, count):
+    adjacency = np.triu(rng.integers(0, 2, size=(n, n)), 1).astype(np.uint8)
+    adjacency |= adjacency.T
+    values = rng.choice(np.arange(1, 2 ** n), size=count - 1, replace=False)
+    words = [np.zeros(n, dtype=np.uint8)] + [gf2.from_int(int(x), n) for x in values]
+    return build_code(adjacency, words)
+
+
+def single_class_subset(rng, code, size, word_dim):
+    """``size`` errors whose classical words differ from a random word by
+    elements of a random subspace of dimension ``word_dim`` of the row
+    space of C, so all share one Pauli syndrome; a small subspace leaves a
+    large normalizer for corollary mode.  Several errors may share a word."""
+    n = code.n
+    combos = rng.integers(0, 2, size=(word_dim, code.num_codewords))
+    spanning = (combos @ code.codewords) & 1
+    offset = rng.integers(0, 2, n)
+    errors = []
+    for _ in range(size):
+        word = offset ^ (rng.integers(0, 2, word_dim) @ spanning) & 1
+        x = rng.integers(0, 2, n).astype(np.uint8)
+        errors.append(Pauli(x, word ^ gf2.matvec(code.adjacency, x)))
+    return cws.ErrorSet(errors, [f"e{k}" for k in range(size)])
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2 ** 32 - 1), mode=MODES)
+def test_kernel_matches_reference_on_small_codes(seed, mode):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 6))
+    code = random_graph_code(rng, n, int(rng.integers(3, min(2 ** n, 10) + 1)))
+    subset = single_class_subset(rng, code, int(rng.integers(2, 5)), int(rng.integers(1, 3)))
+    assert search_type4(code, subset, mode=mode) == reference_first_hit(code, subset, mode)
+
+
+@settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2 ** 32 - 1), mode=MODES)
+def test_kernel_matches_reference_past_one_word(seed, mode):
+    # more than 64 errors or more than 64 codewords: several packed words
+    rng = np.random.default_rng(seed)
+    if rng.integers(0, 2):
+        n, count, size, word_dim = 6, int(rng.integers(5, 11)), int(rng.integers(65, 80)), 1
+    else:
+        n, count, size, word_dim = 7, int(rng.integers(65, 100)), int(rng.integers(2, 6)), 2
+    code = random_graph_code(rng, n, count)
+    subset = single_class_subset(rng, code, size, word_dim)
+    assert search_type4(code, subset, mode=mode) == reference_first_hit(code, subset, mode)
+
+
+def test_kernel_matches_reference_on_ring_classes(ring_code, ring_errors):
+    classes = pauli_syndrome_partition(
+        ring_code, ring_errors, pauli_normalizer_generators(ring_code)
+    )
+    for cls in classes:
+        subset = ring_errors.subset(cls.members)
+        found = search_type4(ring_code, subset, mode="corollary")
+        assert found is not None
+        assert found == reference_first_hit(ring_code, subset, "corollary")
