@@ -18,7 +18,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,11 +26,13 @@ from . import gf2, verify
 from .cws import (
     CwsCode,
     ErrorSet,
-    InvalidCodeError,
     code_fingerprint,
     detects,
     errors_from_entries,
     from_dict,
+    json_sign,
+    json_value,
+    json_vector,
 )
 from .observables import (
     DecodingPlan,
@@ -41,8 +43,8 @@ from .observables import (
     is_decoding_observable,
     pauli_normalizer_generators,
     pauli_syndrome_partition,
+    sign_string,
     stabilizes,
-    syndrome_signs,
 )
 
 
@@ -54,7 +56,6 @@ class CliError(Exception):
 class RunReport:
     command: str
     code_sha256: str
-    payload: dict = field(default_factory=dict)
     oracle_passed: int = 0
     oracle_failed: int = 0
     wall_time_s: float = 0.0
@@ -85,7 +86,7 @@ def _load_code(path: str) -> tuple[CwsCode, ErrorSet | None]:
     data = _load_json(path)
     try:
         return from_dict(data)
-    except (InvalidCodeError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(f"invalid code file {path}: {exc}")
 
 
@@ -100,32 +101,6 @@ def _resolve_errors(code: CwsCode, file_errors: ErrorSet | None, errors_path: st
     if file_errors is not None:
         return file_errors
     return ErrorSet.weight_one(code.n)
-
-
-def _check_external_table(data, path: str) -> None:
-    """Reject an external table whose layout the checks cannot read."""
-
-    def invalid(detail: str) -> CliError:
-        return CliError(f"invalid external table {path}: {detail}")
-
-    if not isinstance(data, dict) or not isinstance(data.get("observables"), list):
-        raise invalid("needs an 'observables' list")
-    for k, entry in enumerate(data["observables"]):
-        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
-            raise invalid(f"observables[{k}] needs a string 'name'")
-    classes = data.get("classes", [])
-    if not isinstance(classes, list):
-        raise invalid("'classes' must be a list")
-    for k, cls in enumerate(classes):
-        if not isinstance(cls, dict):
-            raise invalid(f"classes[{k}] must be an object")
-        for key, kind, noun in (
-            ("observable", str, "a string"),
-            ("syndrome", str, "a string"),
-            ("signs", dict, "an object"),
-        ):
-            if not isinstance(cls.get(key), kind):
-                raise invalid(f"classes[{k}] needs {noun} {key!r}")
 
 
 def cmd_analyze(args) -> int:
@@ -150,13 +125,7 @@ def cmd_analyze(args) -> int:
         if not result:
             undetected += 1
         print(f"  {label:>6}: {mark}{extra}")
-    report = RunReport(
-        command="analyze",
-        code_sha256=code_fingerprint(code),
-        payload={"undetected": undetected},
-        wall_time_s=time.perf_counter() - start,
-    )
-    report.print()
+    RunReport("analyze", code_fingerprint(code), wall_time_s=time.perf_counter() - start).print()
     return 0 if undetected == 0 else 1
 
 
@@ -177,17 +146,7 @@ def cmd_plan(args) -> int:
         print(f"plan written to {args.out}")
     else:
         print(plan_json, end="")
-    report = RunReport(
-        command="plan",
-        code_sha256=plan.code_sha256,
-        payload={
-            "classes": len(plan.classes),
-            "type4_observables": len(plan.type4_observables),
-            "unresolved": len(plan.unresolved),
-        },
-        wall_time_s=time.perf_counter() - start,
-    )
-    report.print()
+    RunReport("plan", plan.code_sha256, wall_time_s=time.perf_counter() - start).print()
     return 0 if plan.complete else 2
 
 
@@ -195,10 +154,8 @@ def _oracle_states(code: CwsCode):
     try:
         cap = verify.oracle_cap()
     except ValueError:
-        raise CliError(
-            f"{verify.ORACLE_CAP_ENV} must be an integer, "
-            f"got {os.environ[verify.ORACLE_CAP_ENV]!r}"
-        )
+        env = verify.ORACLE_CAP_ENV
+        raise CliError(f"{env} must be an integer, got {os.environ[env]!r}")
     try:
         return verify.codeword_states(code, cap=cap)
     except verify.OracleCapExceeded as exc:
@@ -206,59 +163,35 @@ def _oracle_states(code: CwsCode):
         return None
 
 
-def _check_observable_on_errors(
-    code: CwsCode,
-    states,
-    obs: Type4Observable,
-    errors: ErrorSet,
-    indices: list[int],
-    expected: dict[int, int],
-    failures: list[str],
-    name: str,
-) -> tuple[int, int]:
-    """Algebraic and oracle sign checks; returns (passed, failed) oracle counts."""
-    passed = failed = 0
-    subset = errors.subset(indices)
-    if not is_decoding_observable(code, subset, obs):
-        failures.append(f"{name}: leaks on {{{', '.join(subset.labels)}}}")
-        return passed, failed
-    element = verify.type4_element(code, obs) if states is not None else None
-    for i in indices:
-        sign = eigenvalue_on_error(code, obs, errors.errors[i])
-        label = errors.labels[i]
-        if expected and sign != expected[i]:
-            failures.append(
-                f"{name}: sign on {label} is {sign:+d}, expected {expected[i]:+d}"
-            )
-        if states is None:
-            continue
-        corrupted = [verify.apply(errors.errors[i], s) for s in states]
-        for state in corrupted:
-            lam = verify.eigencheck(element, state)
-            if lam == sign:
-                passed += 1
-            else:
-                failed += 1
-                failures.append(
-                    f"{name}: oracle eigenvalue {lam} != {sign:+d} on a {label} state"
-                )
-    return passed, failed
+@dataclass
+class Claim:
+    """Expected eigenvalues of one four-term observable on some errors.
+    Failures read "{name}: ..."; a table's are grouped by entry (owner)."""
+
+    owner: str | None
+    name: str
+    observable: Type4Observable
+    signs: dict[int, int]  # error index -> expected eigenvalue, in check order
 
 
-def cmd_verify(args) -> int:
-    start = time.perf_counter()
-    code, file_errors = _load_code(args.code)
-    if bool(args.plan) == bool(args.external):
-        raise CliError("verify needs exactly one of --plan or --external")
-    failures: list[str] = []
-    oracle_passed = oracle_failed = 0
-    if args.plan:
-        data = _load_json(args.plan)
-        try:
-            plan = DecodingPlan.from_dict(data)
-        except (KeyError, ValueError) as exc:
-            raise CliError(f"invalid plan file {args.plan}: {exc}")
-        fingerprint = code_fingerprint(code)
+@dataclass
+class Claims:
+    """What ``verify`` checks, read from a plan or an external table.
+    ``classes`` (syndrome, member indices) are checked against the partition
+    under ``layer``, if given.  ``entries`` maps a table's observable names to
+    the observable or to the ValueError that made it invalid."""
+
+    errors: ErrorSet
+    layer: list[np.ndarray] | None
+    classes: list[tuple[str, list[int]]]
+    observables: list[Claim]
+    entries: dict[str, Type4Observable | ValueError] | None = None
+
+
+def _read_plan(code: CwsCode, fingerprint: str, path: str) -> Claims:
+    data = _load_json(path)
+    try:
+        plan = DecodingPlan.from_dict(data)
         if plan.code_sha256 != fingerprint:
             raise CliError(
                 f"plan was computed from code {plan.code_sha256[:12]}..., "
@@ -268,104 +201,139 @@ def cmd_verify(args) -> int:
             [{"label": l, "pauli": p} for l, p in zip(plan.error_labels, plan.error_paulis)],
             code.n,
         )
-        if not any(plan.refinements) and not plan.type4_observables:
-            if all(len(c.members) <= 1 for c in plan.classes):
-                print("warning: plan has no refinements to verify (vacuous pass)")
-            report = RunReport("verify", fingerprint, wall_time_s=time.perf_counter() - start)
-            report.print()
-            return 0
-        states = _oracle_states(code)
-        syndromes = syndrome_signs(code, errors, plan.pauli_observables)
-        for cls in plan.classes:
-            for i in cls.members:
-                if syndromes[i] != cls.signs:
-                    failures.append(
-                        f"class {cls.signs}: member {errors.labels[i]}"
-                        f" has syndrome {syndromes[i]}"
-                    )
-        for ci, steps in enumerate(plan.refinements):
-            for step in steps:
-                obs = plan.type4_observables[step.observable]
-                p, f = _check_observable_on_errors(
-                    code, states, obs, errors, step.applies_to, step.signs,
-                    failures, f"class {ci} observable A{step.observable + 1}",
-                )
-                oracle_passed += p
-                oracle_failed += f
-    else:
-        data = _load_json(args.external)
-        _check_external_table(data, args.external)
-        errors = _resolve_errors(code, file_errors, None)
-        label_index = {l: i for i, l in enumerate(errors.labels)}
-        named: dict[str, Type4Observable] = {}
-        per_entry: dict[str, list[str]] = {}
-        for entry in data["observables"]:
-            name = entry["name"]
-            per_entry[name] = []
+    except ValueError as exc:
+        raise CliError(f"invalid plan file {path}: {exc}")
+    if not any(plan.refinements) and not plan.type4_observables:
+        if all(len(c.members) <= 1 for c in plan.classes):
+            print("warning: plan has no refinements to verify (vacuous pass)")
+    claims = [
+        Claim(None, f"class {ci} observable A{step.observable + 1}",
+              plan.type4_observables[step.observable], {i: step.signs[i] for i in step.applies_to})
+        for ci, steps in enumerate(plan.refinements) for step in steps
+    ]
+    classes = [(sign_string(c.signs), c.members) for c in plan.classes]
+    return Claims(errors, plan.pauli_observables, classes, claims)
+
+
+def _read_table(code: CwsCode, file_errors: ErrorSet | None, path: str) -> Claims:
+    """Read an external table; its labels name errors of the code file's
+    error set, or of the weight-1 set when the code file has none."""
+
+    def invalid(detail: str) -> CliError:
+        return CliError(f"invalid external table {path}: {detail}")
+
+    data = _load_json(path)
+    if not isinstance(data, dict) or not isinstance(data.get("observables"), list):
+        raise invalid("needs an 'observables' list")
+    table_classes = data.get("classes", [])
+    if not isinstance(table_classes, list):
+        raise invalid("'classes' must be a list")
+    errors = _resolve_errors(code, file_errors, None)
+    label_index = {l: i for i, l in enumerate(errors.labels)}
+    entries: dict[str, Type4Observable | ValueError] = {}
+    layer, classes, claims = None, [], []
+    try:
+        for k, entry in enumerate(data["observables"]):
+            if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+                raise invalid(f"observables[{k}] needs a string 'name'")
+            for key in ("v", "v1", "v2"):
+                json_value(entry.get(key, ""), str, f"observables[{k}].{key}")
             try:
-                named[name] = Type4Observable.from_dict(entry)
+                entries[entry["name"]] = Type4Observable.from_dict(entry)
             except ValueError as exc:
-                per_entry[name].append(f"invalid observable: {exc}")
-        states = _oracle_states(code)
-        for name, obs in named.items():
-            if not stabilizes(code, obs):
-                per_entry[name].append("does not stabilize the code")
+                entries[entry["name"]] = exc
         if "pauli_observables" in data:
-            layer = [gf2.parse_vector(s) for s in data["pauli_observables"]]
-            partition = {
-                "".join("+" if s == 1 else "-" for s in cls.signs): sorted(
-                    errors.labels[i] for i in cls.members
-                )
-                for cls in pauli_syndrome_partition(code, errors, layer)
-            }
-        else:
-            partition = None
-        for cls in data.get("classes", []):
-            name = cls["observable"]
-            syndrome = cls["syndrome"]
-            members = list(cls["signs"])
-            unknown = [l for l in members if l not in label_index]
+            vectors = json_value(data["pauli_observables"], list, "pauli_observables")
+            layer = [json_vector(o, f"pauli_observables[{k}]") for k, o in enumerate(vectors)]
+        for k, cls in enumerate(table_classes):
+            if not isinstance(cls, dict):
+                raise invalid(f"classes[{k}] must be an object")
+            for key, kind in (("observable", str), ("syndrome", str), ("signs", dict)):
+                if not isinstance(cls.get(key), kind):
+                    noun = "an object" if kind is dict else "a string"
+                    raise invalid(f"classes[{k}] needs {noun} {key!r}")
+            syndrome, name = cls["syndrome"], cls["observable"]
+            unknown = [l for l in cls["signs"] if l not in label_index]
             if unknown:
-                raise CliError(
-                    f"invalid external table {args.external}: class {syndrome}"
-                    f" names unknown error {unknown[0]!r}"
-                )
-            if name not in named:
-                continue
-            if partition is not None and partition.get(syndrome) != sorted(members):
+                raise ValueError(f"class {syndrome} names unknown error {unknown[0]!r}")
+            if name not in entries:
+                raise ValueError(f"class {syndrome} names unknown observable {name!r}")
+            signs = {
+                label_index[l]: json_sign(s, f"classes[{k}].signs.{l}")
+                for l, s in cls["signs"].items()
+            }
+            classes.append((syndrome, list(signs)))
+            if isinstance(entries[name], Type4Observable):
+                claims.append(Claim(name, f"class {syndrome}", entries[name], signs))
+    except ValueError as exc:
+        raise invalid(str(exc))
+    return Claims(errors, layer, classes, claims, entries)
+
+
+def cmd_verify(args) -> int:
+    start = time.perf_counter()
+    code, file_errors = _load_code(args.code)
+    if bool(args.plan) == bool(args.external):
+        raise CliError("verify needs exactly one of --plan or --external")
+    fingerprint = code_fingerprint(code)
+    if args.plan:
+        claims = _read_plan(code, fingerprint, args.plan)
+    else:
+        claims = _read_table(code, file_errors, args.external)
+    errors = claims.errors
+    failures: list[str] = []
+    if claims.layer is not None:
+        partition = {
+            sign_string(cls.signs): sorted(errors.labels[i] for i in cls.members)
+            for cls in pauli_syndrome_partition(code, errors, claims.layer)
+        }
+        for syndrome, members in claims.classes:
+            expected = sorted(errors.labels[i] for i in members)
+            if partition.get(syndrome) != expected:
                 failures.append(
-                    f"{syndrome}: expected members {sorted(members)}, "
+                    f"{syndrome}: expected members {expected}, "
                     f"partition gives {partition.get(syndrome)}"
                 )
-            indices = [label_index[l] for l in members]
-            expected = {label_index[l]: s for l, s in cls["signs"].items()}
-            p, f = _check_observable_on_errors(
-                code, states, named[name], errors, indices, expected,
-                per_entry[name], f"class {syndrome}",
-            )
-            oracle_passed += p
-            oracle_failed += f
+    notes: dict[str | None, list[str]] = {}
+    for name, obs in (claims.entries or {}).items():
+        if isinstance(obs, ValueError):
+            notes[name] = [f"invalid observable: {obs}"]
+        else:
+            notes[name] = [] if stabilizes(code, obs) else ["does not stabilize the code"]
+    states = _oracle_states(code) if claims.observables else None
+    oracle_passed = oracle_failed = 0
+    for claim in claims.observables:
+        out = notes.setdefault(claim.owner, [])
+        obs = claim.observable
+        subset = errors.subset(list(claim.signs))
+        if not is_decoding_observable(code, subset, obs):
+            out.append(f"{claim.name}: leaks on {{{', '.join(subset.labels)}}}")
+            continue
+        element = verify.type4_element(code, obs) if states is not None else None
+        for i, expected in claim.signs.items():
+            sign = eigenvalue_on_error(code, obs, errors.errors[i])
+            label = errors.labels[i]
+            if sign != expected:
+                out.append(f"{claim.name}: sign on {label} is {sign:+d}, expected {expected:+d}")
+            for state in states if states is not None else ():
+                lam = verify.eigencheck(element, verify.apply(errors.errors[i], state))
+                if lam == sign:
+                    oracle_passed += 1
+                else:
+                    oracle_failed += 1
+                    out.append(f"{claim.name}: oracle eigenvalue {lam} != {sign:+d} on a {label} state")
+    if claims.entries is not None:
         print("external observables:")
-        for name, messages in per_entry.items():
-            obs = named.get(name)
-            if obs is None:
-                print(f"  {name}: INVALID")
-            else:
-                print(f"  {name}: v={gf2.format_vector(obs.v)} "
-                      f"v1={gf2.format_vector(obs.v1)} v2={gf2.format_vector(obs.v2)} "
-                      f"{'ok' if not messages else 'INVALID'}")
-            failures.extend(f"{name}: {msg}" for msg in messages)
+        for name, obs in claims.entries.items():
+            vectors = "" if isinstance(obs, ValueError) else "".join(
+                f"{key}={gf2.format_vector(getattr(obs, key))} " for key in ("v", "v1", "v2")
+            )
+            print(f"  {name}: {vectors}{'INVALID' if notes[name] else 'ok'}")
+    for owner, messages in notes.items():
+        failures.extend(m if owner is None else f"{owner}: {m}" for m in messages)
     for line in failures:
         print(f"FAIL: {line}")
-    report = RunReport(
-        command="verify",
-        code_sha256=code_fingerprint(code),
-        payload={"failures": len(failures)},
-        oracle_passed=oracle_passed,
-        oracle_failed=oracle_failed,
-        wall_time_s=time.perf_counter() - start,
-    )
-    report.print()
+    RunReport("verify", fingerprint, oracle_passed, oracle_failed, time.perf_counter() - start).print()
     return 0 if not failures else 1
 
 
@@ -393,10 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
         " changes neither the result nor the scan",
     )
     p_plan.add_argument("--out", help="write the plan JSON here")
-    p_plan.add_argument(
-        "--seed", type=int, default=None,
-        help="reserved for future randomized strategies; the search is deterministic and ignores it",
-    )
     p_plan.set_defaults(func=cmd_plan)
 
     p_verify = sub.add_parser("verify", help="verify a plan or an external table")
@@ -411,10 +375,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (InvalidCodeError, UndetectableError, ValueError) as exc:
+    except (CliError, ValueError) as exc:  # ValueError covers every input fault the readers find
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,11 +138,6 @@ def detects(code: CwsCode, e: Pauli) -> DetectionResult:
     return DetectionResult(True, word, False, "classically detected")
 
 
-def codeword_matrix(code: CwsCode) -> np.ndarray:
-    """K x n matrix whose i-th row is the i-th classical codeword."""
-    return code.codewords.copy()
-
-
 @dataclass
 class ErrorSet:
     """Ordered Pauli errors with unique human-readable labels."""
@@ -220,17 +216,16 @@ def to_dict(code: CwsCode) -> dict:
 
 def from_dict(d: dict) -> tuple[CwsCode, ErrorSet | None]:
     """Build a code (and optional error set) from its JSON form."""
-    for key in ("n", "adjacency", "codewords"):
-        if key not in d:
-            raise InvalidCodeError(f"missing field {key!r}")
-    if not isinstance(d["n"], int) or isinstance(d["n"], bool):
-        raise InvalidCodeError(f"field 'n' must be an integer, got {d['n']!r}")
-    adjacency = gf2.parse_matrix(d["adjacency"])
-    if adjacency.shape[0] != d["n"]:
-        raise InvalidCodeError(
-            f"adjacency has {adjacency.shape[0]} rows but n={d['n']}"
-        )
-    code = build_code(adjacency, [gf2.parse_vector(w) for w in d["codewords"]])
+    try:
+        json_value(d, dict, "")
+        n = json_field(d, "n", int)
+        rows, words = (json_field(d, key, list) for key in ("adjacency", "codewords"))
+    except ValueError as exc:
+        raise InvalidCodeError(str(exc)) from None
+    adjacency = gf2.parse_matrix(rows)
+    if adjacency.shape[0] != n:
+        raise InvalidCodeError(f"adjacency has {adjacency.shape[0]} rows but n={n}")
+    code = build_code(adjacency, [gf2.parse_vector(w) for w in words])
     errors = None
     if "errors" in d:
         errors = errors_from_entries(d["errors"], code.n)
@@ -241,3 +236,47 @@ def code_fingerprint(code: CwsCode) -> str:
     """SHA-256 of the canonical JSON definition; identifies the code."""
     canonical = json.dumps(to_dict(code), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("ascii")).hexdigest()
+
+
+# Checks shared by the readers of the code, plan and table formats.  Each
+# failure is a ValueError that names the offending value's JSON path.
+
+_JSON_NOUNS = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+
+
+def _shown(value) -> str:
+    """A value as an error message shows it: a container by its kind."""
+    return _JSON_NOUNS[type(value)] if type(value) in (dict, list) else reprlib.repr(value)
+
+
+def json_value(value, kind: type, path: str):
+    """``value`` if it is a JSON ``kind`` (dict, list, str or int; never a
+    boolean), else ValueError naming ``path``, its place in the file
+    such as ``classes[1].steps``; the empty path is the top level."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        where = f"field {path!r}" if path else "the top level"
+        raise ValueError(f"{where} must be {_JSON_NOUNS[kind]}, got {_shown(value)}")
+    return value
+
+
+def json_field(d: dict, key: str, kind: type, path: str = ""):
+    """``d[key]`` checked by ``json_value``, where ``d`` sits at ``path``."""
+    where = f"{path}.{key}" if path else key
+    if key not in d:
+        raise ValueError(f"missing field {where!r}")
+    return json_value(d[key], kind, where)
+
+
+def json_sign(value, path: str) -> int:
+    """An expected eigenvalue: the JSON integer +1 or -1."""
+    if type(value) is not int or value not in (1, -1):
+        raise ValueError(f"field {path!r} must be +1 or -1, got {_shown(value)}")
+    return value
+
+
+def json_vector(value, path: str) -> np.ndarray:
+    """A 0/1 string parsed by ``gf2.parse_vector``."""
+    try:
+        return gf2.parse_vector(value)
+    except ValueError as exc:
+        raise ValueError(f"field {path!r}: {exc}") from None

@@ -9,6 +9,8 @@ exactly that order.  All functions are pure and never mutate their inputs.
 
 from __future__ import annotations
 
+import reprlib
+
 import numpy as np
 
 
@@ -29,9 +31,13 @@ def as_matrix(m) -> np.ndarray:
 
 
 def parse_vector(s: str) -> np.ndarray:
-    """Parse an ASCII 0/1 string such as "0001110011"."""
-    if not s or any(c not in "01" for c in s):
-        raise ValueError(f"not a binary string: {s!r}")
+    """Parse an ASCII 0/1 string such as "0001110011".
+
+    Anything else, including a value that is not a string, raises
+    ValueError.
+    """
+    if not isinstance(s, str) or not s or any(c not in "01" for c in s):
+        raise ValueError(f"not a binary string: {reprlib.repr(s)}")
     return np.frombuffer(s.encode("ascii"), dtype=np.uint8) - ord("0")
 
 

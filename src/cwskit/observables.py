@@ -31,6 +31,10 @@ from .cws import (
     classicalize,
     code_fingerprint,
     detects,
+    json_field,
+    json_sign,
+    json_value,
+    json_vector,
 )
 from .pauli import Pauli
 
@@ -102,16 +106,22 @@ class Type4Observable:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Type4Observable":
-        for key in ("v", "v1", "v2"):
-            if key not in d:
-                raise ValueError(f"missing field {key!r}")
-        return cls(
-            gf2.parse_vector(d["v"]),
-            gf2.parse_vector(d["v1"]),
-            gf2.parse_vector(d["v2"]),
-            int(d.get("sign", 1)),
+    def from_dict(cls, d: dict, path: str = "") -> "Type4Observable":
+        """Read the JSON form of ``to_dict``; ``sign`` defaults to +1.
+
+        Raises ValueError naming the field, prefixed by ``path``, the
+        object's place in its file.
+        """
+        json_value(d, dict, path)
+        prefix = f"{path}." if path else ""
+        v, v1, v2 = (
+            json_vector(json_field(d, key, str, path), prefix + key) for key in ("v", "v1", "v2")
         )
+        sign = json_sign(d.get("sign", 1), prefix + "sign")
+        try:
+            return cls(v, v1, v2, sign)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}" if path else str(exc)) from None
 
 
 def pauli_normalizer_generators(code: CwsCode) -> list[np.ndarray]:
@@ -204,6 +214,11 @@ class SyndromeClass:
 
     signs: tuple[int, ...]
     members: list[int]
+
+
+def sign_string(signs: tuple[int, ...]) -> str:
+    """A sign vector as it appears in files and tables, e.g. "++-+"."""
+    return "".join("+" if s == 1 else "-" for s in signs)
 
 
 def syndrome_signs(
@@ -488,9 +503,6 @@ class DecodingPlan:
         return counts
 
     def to_dict(self) -> dict:
-        def sign_string(signs):
-            return "".join("+" if s == 1 else "-" for s in signs)
-
         return {
             "n": self.n,
             "mode": self.mode,
@@ -531,48 +543,85 @@ class DecodingPlan:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DecodingPlan":
-        labels = [e["label"] for e in d["errors"]]
-        index = {l: i for i, l in enumerate(labels)}
-        count = len(d["type4_observables"])
-        for c in d["classes"]:
-            for s in c["steps"]:
-                k = s["observable"]
-                if type(k) is not int or not 0 <= k < count:
-                    raise ValueError(
-                        f"step refers to observable {k!r},"
-                        f" plan has {count} four-term observables"
-                    )
+        """Read the JSON form of ``to_dict``; the plan format's only reader.
+
+        Raises ValueError naming the JSON path of the first malformed
+        field, such as ``classes[1].steps[0].signs``.  Member labels must
+        name entries of ``errors``, a step's ``observable`` must index
+        ``type4_observables``, and its ``signs`` must give +1 or -1 for
+        exactly the errors of its ``applies_to``.
+        """
+
+        def listed(obj, key, kind, path=""):
+            """obj[key] as (path, item) pairs, each item checked as ``kind``."""
+            at = f"{path}.{key}" if path else key
+            return [
+                (f"{at}[{k}]", json_value(item, kind, f"{at}[{k}]"))
+                for k, item in enumerate(json_field(obj, key, list, path))
+            ]
+
+        def members(obj, key, path):
+            out = []
+            for at, label in listed(obj, key, str, path):
+                if label not in index:
+                    raise ValueError(f"field {at!r} names unknown error {label!r}")
+                out.append(index[label])
+            return out
+
+        json_value(d, dict, "")
+        errors = listed(d, "errors", dict)
+        labels = [json_field(e, "label", str, at) for at, e in errors]
+        index = {label: i for i, label in enumerate(labels)}
+        observables = [
+            Type4Observable.from_dict(a, at) for at, a in listed(d, "type4_observables", dict)
+        ]
         classes, refinements = [], []
-        for c in d["classes"]:
-            signs = tuple(1 if ch == "+" else -1 for ch in c["signs"])
-            classes.append(SyndromeClass(signs, [index[l] for l in c["members"]]))
-            refinements.append(
-                [
-                    RefinementStep(
-                        s["observable"],
-                        [index[l] for l in s["applies_to"]],
-                        {index[l]: v for l, v in s["signs"].items()},
-                    )
-                    for s in c["steps"]
-                ]
+        for at, c in listed(d, "classes", dict):
+            signs = json_field(c, "signs", str, at)
+            if set(signs) - {"+", "-"}:
+                raise ValueError(f"field '{at}.signs' must be a string of + and -, got {signs!r}")
+            classes.append(
+                SyndromeClass(tuple(1 if ch == "+" else -1 for ch in signs), members(c, "members", at))
             )
+            steps = []
+            for step_at, s in listed(c, "steps", dict, at):
+                k = json_field(s, "observable", int, step_at)
+                if not 0 <= k < len(observables):
+                    raise ValueError(
+                        f"field '{step_at}.observable' refers to observable {k},"
+                        f" plan has {len(observables)} four-term observables"
+                    )
+                applies_to = members(s, "applies_to", step_at)
+                given = json_field(s, "signs", dict, step_at)
+                if set(given) != {labels[i] for i in applies_to}:
+                    raise ValueError(
+                        f"field '{step_at}.signs' must name exactly the errors of applies_to"
+                    )
+                step_signs = {
+                    index[label]: json_sign(v, f"{step_at}.signs.{label}")
+                    for label, v in given.items()
+                }
+                steps.append(RefinementStep(k, applies_to, step_signs))
+            refinements.append(steps)
         return cls(
-            n=d["n"],
-            mode=d["mode"],
-            code_sha256=d["code_sha256"],
+            n=json_field(d, "n", int),
+            mode=json_field(d, "mode", str),
+            code_sha256=json_field(d, "code_sha256", str),
             error_labels=labels,
-            error_paulis=[e["pauli"] for e in d["errors"]],
-            pauli_observables=[gf2.parse_vector(o) for o in d["pauli_observables"]],
-            classes=classes,
-            type4_observables=[
-                Type4Observable.from_dict(a) for a in d["type4_observables"]
+            error_paulis=[json_field(e, "pauli", str, at) for at, e in errors],
+            pauli_observables=[
+                json_vector(o, at) for at, o in listed(d, "pauli_observables", str)
             ],
+            classes=classes,
+            type4_observables=observables,
             refinements=refinements,
             unresolved=[
                 UnresolvedSubset(
-                    u["class"], [index[l] for l in u["members"]], u["pairs_searched"]
+                    json_field(u, "class", int, at),
+                    members(u, "members", at),
+                    json_field(u, "pairs_searched", int, at),
                 )
-                for u in d["unresolved"]
+                for at, u in listed(d, "unresolved", dict)
             ],
         )
 
@@ -584,9 +633,8 @@ class DecodingPlan:
         for o, vec in zip(range(len(self.pauli_observables)), self.pauli_observables):
             lines.append(f"  O{o + 1} = {gf2.format_vector(vec)}")
         for cls, steps in zip(self.classes, self.refinements):
-            pattern = "".join("+" if s == 1 else "-" for s in cls.signs)
             members = " ".join(self.error_labels[i] for i in cls.members)
-            lines.append(f"[{pattern}] errors: {members}")
+            lines.append(f"[{sign_string(cls.signs)}] errors: {members}")
             for step in steps:
                 cells = "   ".join(
                     f"{self.error_labels[i]} {'+' if step.signs[i] == 1 else '-'}"

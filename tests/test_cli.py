@@ -1,12 +1,20 @@
+import contextlib
+import functools
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cwskit import cws
 from cwskit.cli import main
+from cwskit.observables import build_decoding_plan
 from conftest import CODE_FILE, REPO, TABLE_FILE
 
 CODE = str(CODE_FILE)
@@ -100,12 +108,6 @@ class TestPlan:
         assert main(["plan", code_file, "--out", str(out_file)]) == 0
         plan = json.loads(out_file.read_text())
         assert [e["label"] for e in plan["errors"]] == ["ZIIIIIIIII", "Y2"]
-
-    def test_seed_flag_accepted_and_ignored(self, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert main(["plan", CODE, "--seed", "7", "--out", str(a)]) == 0
-        assert main(["plan", CODE, "--seed", "8", "--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
 
     def test_serial_and_parallel_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -224,6 +226,99 @@ def error_entry_not_string_or_object(tmp_path, monkeypatch):
     return ["plan", CODE, "--errors", errors], "error entry 0 must be a Pauli string"
 
 
+@functools.cache
+def ring_plan_json() -> str:
+    code, _ = cws.from_dict(json.loads(Path(CODE).read_text()))
+    return json.dumps(build_decoding_plan(code, cws.ErrorSet.weight_one(code.n)).to_dict())
+
+
+def shipped(kind: str):
+    """A fresh copy of the shipped code, the ring plan or the shipped table."""
+    text = {"code": Path(CODE).read_text(), "plan": ring_plan_json(), "table": Path(TABLE).read_text()}
+    return json.loads(text[kind])
+
+
+def argv_for(kind: str, path: str) -> list[str]:
+    """The command that reads a file of this kind."""
+    if kind == "code":
+        return ["verify", path, "--external", TABLE]
+    return ["verify", CODE, f"--{'plan' if kind == 'plan' else 'external'}", path]
+
+
+FILE_NOUN = {"code": "invalid code file", "plan": "invalid plan file", "table": "invalid external table"}
+
+
+def edited(kind: str, change, detail: str):
+    """A fault made by ``change`` on a shipped file; ``change`` edits the
+    data in place or returns its replacement.  The error line must name
+    the file and carry ``detail``."""
+
+    def fault(tmp_path, monkeypatch):
+        data = shipped(kind)
+        data = change(data) or data
+        path = write_json(tmp_path / f"{kind}.json", data)
+        return argv_for(kind, path), f"{FILE_NOUN[kind]} {path}: {detail}"
+
+    return fault
+
+
+def first_step(data):
+    return data["classes"][1]["steps"][0]
+
+
+EDITED_FAULTS = {
+    "plan_top_level_list": edited("plan", lambda d: [d], "the top level must be an object"),
+    "plan_errors_not_list": edited(
+        "plan", lambda d: d.update(errors=5), "field 'errors' must be a list, got 5"),
+    "plan_error_entry_not_object": edited(
+        "plan", lambda d: d["errors"].__setitem__(0, 5), "field 'errors[0]' must be an object"),
+    "plan_steps_not_list": edited(
+        "plan", lambda d: d["classes"][1].update(steps=5), "field 'classes[1].steps' must be a list"),
+    "plan_step_not_object": edited(
+        "plan", lambda d: d["classes"][1]["steps"].__setitem__(0, 5),
+        "field 'classes[1].steps[0]' must be an object"),
+    "plan_class_signs_not_string": edited(
+        "plan", lambda d: d["classes"][1].update(signs=5), "field 'classes[1].signs' must be a string"),
+    "plan_pauli_observable_not_string": edited(
+        "plan", lambda d: d.update(pauli_observables=[5]),
+        "field 'pauli_observables[0]' must be a string"),
+    "plan_observable_vector_not_string": edited(
+        "plan", lambda d: d["type4_observables"][0].update(v=5),
+        "field 'type4_observables[0].v' must be a string"),
+    "plan_step_signs_miss_a_label": edited(
+        "plan", lambda d: first_step(d)["signs"].pop(first_step(d)["applies_to"][0]) and None,
+        "field 'classes[1].steps[0].signs' must name exactly the errors of applies_to"),
+    "plan_step_sign_not_integer": edited(
+        "plan", lambda d: first_step(d)["signs"].update(Z5="x"),
+        "field 'classes[1].steps[0].signs.Z5' must be +1 or -1, got 'x'"),
+    "plan_missing_field": edited("plan", lambda d: d.pop("errors") and None, "missing field 'errors'"),
+    "table_pauli_observable_not_string": edited(
+        "table", lambda d: {"observables": [], "pauli_observables": [5]},
+        "field 'pauli_observables[0]': not a binary string: 5"),
+    "table_pauli_observables_not_list": edited(
+        "table", lambda d: d.update(pauli_observables=5), "field 'pauli_observables' must be a list"),
+    "table_sign_not_integer": edited(
+        "table", lambda d: d["classes"][0]["signs"].update(Y2="x"),
+        "field 'classes[0].signs.Y2' must be +1 or -1, got 'x'"),
+    "table_sign_two": edited(
+        "table", lambda d: d["classes"][0]["signs"].update(Y2=2),
+        "field 'classes[0].signs.Y2' must be +1 or -1, got 2"),
+    "table_vector_not_string": edited(
+        "table", lambda d: d["observables"][0].update(v=5),
+        "field 'observables[0].v' must be a string, got 5"),
+    "table_unknown_observable": edited(
+        "table", lambda d: d["classes"][0].update(observable="A9"),
+        "class +++- names unknown observable 'A9'"),
+    "code_codeword_not_string": edited(
+        "code", lambda d: d.update(codewords=[5]), "not a binary string: 5"),
+    "code_codeword_as_list": edited(
+        "code", lambda d: d["codewords"].__setitem__(1, list(d["codewords"][1])),
+        "not a binary string: ['1', '0'"),
+    "code_adjacency_not_list": edited(
+        "code", lambda d: d.update(adjacency=5), "field 'adjacency' must be a list, got 5"),
+}
+
+
 @pytest.mark.parametrize("fault", [
     unknown_external_label,
     plan_observable_out_of_range,
@@ -233,6 +328,7 @@ def error_entry_not_string_or_object(tmp_path, monkeypatch):
     external_entry_without_name,
     external_class_without_observable,
     error_entry_not_string_or_object,
+    *(pytest.param(fault, id=name) for name, fault in EDITED_FAULTS.items()),
 ])
 def test_input_fault_exits_one_with_single_error_line(fault, tmp_path, monkeypatch, capsys):
     argv, message = fault(tmp_path, monkeypatch)
@@ -253,3 +349,46 @@ def test_module_entry_point_runs_without_runtime_warning():
     )
     assert result.returncode == 0, result.stderr
     assert "usage: cwskit" in result.stdout
+
+
+def json_paths(node, path=()):
+    """The path of every node of a JSON tree, the root first."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from json_paths(child, path + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind=st.sampled_from(["code", "plan", "table"]), data=st.data())
+def test_mutated_input_exits_with_at_most_one_error_line(kind, data, tmp_path_factory):
+    """Delete one key of a shipped file or replace one node with random
+    JSON: ``main`` returns an exit code and stderr is empty or exactly one
+    ``error:`` line.  The oracle is off, so only the algebra runs."""
+    doc = shipped(kind)
+    path = data.draw(st.sampled_from(list(json_paths(doc))), label="path")
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if path and isinstance(parent, dict) and data.draw(st.booleans(), label="delete"):
+        del parent[path[-1]]
+    elif path:
+        parent[path[-1]] = data.draw(JSON_VALUES, label="value")
+    else:
+        doc = data.draw(JSON_VALUES, label="value")
+    file = write_json(tmp_path_factory.mktemp("fuzz") / f"{kind}.json", doc)
+    err = io.StringIO()
+    with mock.patch.dict(os.environ, {"CWS_ORACLE_CAP": "0"}), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv_for(kind, file))
+    assert isinstance(rc, int)
+    lines = err.getvalue().splitlines()
+    assert lines == [] or (len(lines) == 1 and lines[0].startswith("error: ")), lines

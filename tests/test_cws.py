@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cwskit import cws, gf2, verify
-from cwskit.cws import InvalidCodeError, build_code, classicalize, codeword_matrix, detects
+from cwskit.cws import InvalidCodeError, build_code, classicalize, detects
 from cwskit.pauli import Pauli, commutes, multiply
 from conftest import random_code
 from dense_oracle import brute_rank
@@ -168,15 +168,15 @@ class TestDetects:
 class TestCodewordMatrix:
     def test_first_row_zero(self, ring_code, toy_code):
         for code in (ring_code, toy_code):
-            assert not codeword_matrix(code)[0].any()
+            assert not code.codewords[0].any()
 
     def test_trivial_code_single_zero_row(self):
         code = build_code(np.zeros((1, 1), dtype=np.uint8), [np.zeros(1, dtype=np.uint8)])
-        assert codeword_matrix(code).shape == (1, 1)
-        assert not codeword_matrix(code).any()
+        assert code.codewords.shape == (1, 1)
+        assert not code.codewords.any()
 
     def test_ring_rank_six(self, ring_code):
-        m = codeword_matrix(ring_code)
+        m = ring_code.codewords
         assert m.shape == (20, 10)
         assert brute_rank(m.tolist()) == 6
 
