@@ -14,6 +14,7 @@ import hashlib
 import json
 import reprlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +28,10 @@ class InvalidCodeError(ValueError):
 
 @dataclass
 class CwsCode:
+    """A validated code.  The GF(2) factors of the codeword matrix C below
+    are computed on first use and kept, so a plan eliminates C and C^T once
+    each, and loading a code, as ``verify`` does, builds none of them."""
+
     n: int
     adjacency: np.ndarray
     codewords: np.ndarray  # K x n, row 0 is the all-zero word
@@ -35,6 +40,38 @@ class CwsCode:
     @property
     def num_codewords(self) -> int:
         return int(self.codewords.shape[0])
+
+    @cached_property
+    def kernel(self) -> list[np.ndarray]:
+        """Canonical basis of ker C (``gf2.kernel_basis``), read-only."""
+        return _frozen(gf2.kernel_basis(self.codewords))
+
+    @cached_property
+    def kernel_echelon(self) -> tuple[np.ndarray, list[int]]:
+        """Reduced echelon form of the kernel basis, for ``gf2.coset_minimum``."""
+        basis = np.array(self.kernel, dtype=np.uint8).reshape(len(self.kernel), self.n)
+        return gf2.rref(basis)
+
+    @cached_property
+    def left_kernel(self) -> list[np.ndarray]:
+        """Canonical basis of the y with y C = 0, the kernel of C^T, read-only."""
+        return _frozen(gf2.kernel_basis(self.codewords.T))
+
+    @cached_property
+    def codeword_index(self) -> dict[int, int]:
+        """Codeword row index by its packed bits as a Python integer."""
+        return {_packed_int(w): i for i, w in enumerate(self.codewords)}
+
+
+def _frozen(vectors: list[np.ndarray]) -> list[np.ndarray]:
+    for v in vectors:
+        v.setflags(write=False)
+    return vectors
+
+
+def _packed_int(v: np.ndarray) -> int:
+    """A 0/1 vector as the exact Python integer of its packed bits."""
+    return int.from_bytes(np.packbits(v).tobytes(), "big")
 
 
 def build_code(adjacency, codewords) -> CwsCode:
@@ -126,9 +163,10 @@ def detects(code: CwsCode, e: Pauli) -> DetectionResult:
                 f"degenerate error anticommutes with codeword operator C_{i + 1}",
             )
         return DetectionResult(True, word, True, "degenerate-pass")
-    index = {gf2.format_vector(w): i for i, w in enumerate(code.codewords)}
-    for i, w in enumerate(code.codewords):
-        hit = index.get(gf2.format_vector(w ^ word))
+    index = code.codeword_index
+    key = _packed_int(word)
+    for w, i in index.items():  # codewords in row order; build_code keeps them distinct
+        hit = index.get(w ^ key)
         if hit is not None:
             return DetectionResult(
                 False, word, False,

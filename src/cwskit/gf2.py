@@ -42,7 +42,7 @@ def parse_vector(s: str) -> np.ndarray:
 
 
 def format_vector(v) -> str:
-    return "".join("1" if b else "0" for b in as_vector(v))
+    return (as_vector(v) + ord("0")).tobytes().decode("ascii")
 
 
 def parse_matrix(rows) -> np.ndarray:
@@ -93,18 +93,21 @@ def matvec(m, v) -> np.ndarray:
     return (m @ v).astype(np.uint8) & 1
 
 
-def rref(m) -> tuple[np.ndarray, list[int]]:
+def rref(m, ncols: int | None = None) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over GF(2).
 
     Returns (R, pivot_cols) where pivot_cols lists the pivot column
     indices in ascending order.  The row space is preserved and the
-    transform is idempotent: rref(rref(m)) == rref(m).
+    transform is idempotent: rref(rref(m)) == rref(m).  With ``ncols``,
+    pivots are taken among the first ``ncols`` columns only; the other
+    columns, the right-hand sides of an augmented system, are carried
+    along by the row operations.
     """
     r_mat = as_matrix(m).copy()
     rows, cols = r_mat.shape
     pivots: list[int] = []
     row = 0
-    for col in range(cols):
+    for col in range(cols if ncols is None else ncols):
         if row == rows:
             break
         hits = np.nonzero(r_mat[row:, col])[0]
@@ -157,18 +160,30 @@ def solve(m, rhs) -> tuple[np.ndarray, list[np.ndarray]] | None:
     set to 0 under the reduced echelon form; the full solution set is
     particular + span(kernel).
     """
+    x, consistent = solve_columns(m, as_vector(rhs)[:, None])
+    if not consistent[0]:
+        return None
+    return x[:, 0], kernel_basis(m)
+
+
+def solve_columns(m, rhs) -> tuple[np.ndarray, np.ndarray]:
+    """Solve m x = b over GF(2) for every column b of ``rhs`` with one
+    elimination of the augmented matrix [m | rhs].
+
+    Returns (x, consistent).  Column k of x is the canonical particular
+    solution for column k of rhs, free variables 0 as in ``solve``, and
+    ``consistent[k]`` says whether that column is solvable at all; where
+    it is not, column k of x means nothing.
+    """
     mat = as_matrix(m)
-    b = as_vector(rhs)
+    b = as_matrix(rhs)
     if b.shape[0] != mat.shape[0]:
         raise ValueError(f"matrix has {mat.shape[0]} rows, rhs has {b.shape[0]}")
     cols = mat.shape[1]
-    aug, pivots = rref(np.concatenate([mat, b[:, None]], axis=1))
-    if cols in pivots:
-        return None
-    x = np.zeros(cols, dtype=np.uint8)
-    for row, pc in enumerate(pivots):
-        x[pc] = aug[row, cols]
-    return x, kernel_basis(mat)
+    aug, pivots = rref(np.concatenate([mat, b], axis=1), cols)
+    x = np.zeros((cols, b.shape[1]), dtype=np.uint8)
+    x[pivots] = aug[: len(pivots), cols:]
+    return x, ~aug[len(pivots):, cols:].any(axis=0)
 
 
 def minimal_solution(particular, kernel: list[np.ndarray]) -> np.ndarray:
@@ -178,10 +193,16 @@ def minimal_solution(particular, kernel: list[np.ndarray]) -> np.ndarray:
     kernel's echelon form yields the unique coset element whose leading
     difference against any other member is a 0, hence the minimum.
     """
-    x = as_vector(particular).copy()
     if not kernel:
-        return x
-    r_mat, pivots = rref(np.array(kernel, dtype=np.uint8))
+        return as_vector(particular).copy()
+    return coset_minimum(particular, rref(np.array(kernel, dtype=np.uint8)))
+
+
+def coset_minimum(x, echelon: tuple[np.ndarray, list[int]]) -> np.ndarray:
+    """Smallest element of x + (row space of a matrix), given that matrix's
+    reduced echelon form as ``rref`` returns it."""
+    x = as_vector(x).copy()
+    r_mat, pivots = echelon
     for row, pc in enumerate(pivots):
         if x[pc]:
             x ^= r_mat[row]

@@ -127,7 +127,7 @@ class Type4Observable:
 def pauli_normalizer_generators(code: CwsCode) -> list[np.ndarray]:
     """Independent exponents of stabilizer elements commuting with every
     codeword operator: the canonical kernel basis of the codeword matrix."""
-    return gf2.kernel_basis(code.codewords)
+    return list(code.kernel)
 
 
 def commutation_correction(code: CwsCode, v1, v2, g: Pauli) -> np.ndarray:
@@ -317,16 +317,14 @@ def _syndrome_offsets(code: CwsCode, subset: ErrorSet, words: np.ndarray) -> np.
     exactly when it is orthogonal to ker C, i.e. when the two errors share
     their Pauli syndrome; otherwise ValueError names the pair.
     """
-    rows = []
-    for t in range(1, words.shape[0]):
-        solved = gf2.solve(code.codewords.T, words[t] ^ words[0])
-        if solved is None:
-            raise ValueError(
-                f"errors {subset.labels[0]!r} and {subset.labels[t]!r} have different"
-                " Pauli syndromes; search within one syndrome class"
-            )
-        rows.append(solved[0])
-    return np.array(rows, dtype=np.uint8).reshape(len(rows), code.num_codewords)
+    offsets, consistent = gf2.solve_columns(code.codewords.T, (words[1:] ^ words[0]).T)
+    if not consistent.all():
+        t = 1 + int(np.flatnonzero(~consistent)[0])
+        raise ValueError(
+            f"errors {subset.labels[0]!r} and {subset.labels[t]!r} have different"
+            " Pauli syndromes; search within one syndrome class"
+        )
+    return offsets.T
 
 
 # Pairs per scan block.  Blocks start at one row of the pair triangle and
@@ -353,13 +351,13 @@ def _parity_table(mat: np.ndarray) -> np.ndarray:
     """
     rows, cols = mat.shape
     nbytes = -(-cols // 8)
-    padded = np.zeros((rows, nbytes * 8), dtype=np.uint8)
-    padded[:, :cols] = mat
-    byte_bits = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(np.uint8)
-    per_byte = padded.reshape(rows, nbytes, 8).transpose(2, 1, 0).reshape(8, nbytes * rows)
-    parities = (byte_bits @ per_byte) & 1  # (value, byte * row)
-    parities = parities.reshape(256, nbytes, rows).transpose(1, 0, 2)
-    return _pack_rows(parities.reshape(nbytes * 256, rows)).reshape(nbytes, 256, -1)
+    padded = np.zeros((nbytes * 8, rows), dtype=np.uint8)
+    padded[:cols] = mat.T
+    columns = _pack_rows(padded).reshape(nbytes, 8, -1)  # packed column 8 b + k of mat
+    table = np.zeros((nbytes, 256, columns.shape[2]), dtype=columns.dtype)
+    for k in range(8):  # values with top bit k: the values below 2^k plus column 8 b + k
+        table[:, 1 << k : 2 << k] = table[:, : 1 << k] ^ columns[:, k : k + 1]
+    return table
 
 
 def _nonzero(words: np.ndarray) -> np.ndarray:
@@ -409,7 +407,7 @@ def _pair_search(
     any_flipped = _nonzero(flipped)
     # parity bit t < 64 * width is <alpha_t, rhs>, aligned with the flipped
     # words (0 for error 0); the bits after them are the left kernel of C
-    left = gf2.kernel_basis(c_mat.T)
+    left = code.left_kernel
     parity_rows = np.zeros((64 * width + len(left), c_mat.shape[0]), dtype=np.uint8)
     parity_rows[1:errs] = alpha
     if left:
@@ -453,9 +451,9 @@ def _solved_observable(code: CwsCode, words: np.ndarray, v1, v2) -> Type4Observa
     img1 = gf2.matvec(code.codewords, v1)
     img2 = gf2.matvec(code.codewords, v2)
     rhs = (img1 | img2) ^ (img2 * gf2.dot(words[0], v1)) ^ (img1 * gf2.dot(words[0], v2))
-    solved = gf2.solve(code.codewords, rhs)
-    assert solved is not None
-    return Type4Observable(gf2.minimal_solution(*solved), v1, v2)
+    particular, solvable = gf2.solve_columns(code.codewords, rhs[:, None])
+    assert solvable[0]
+    return Type4Observable(gf2.coset_minimum(particular[:, 0], code.kernel_echelon), v1, v2)
 
 
 @dataclass
