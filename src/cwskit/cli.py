@@ -26,6 +26,7 @@ from . import gf2, verify
 from .cws import (
     CwsCode,
     ErrorSet,
+    classical_words,
     code_fingerprint,
     detects,
     errors_from_entries,
@@ -35,12 +36,12 @@ from .cws import (
     json_vector,
 )
 from .observables import (
+    MODES,
     DecodingPlan,
     Type4Observable,
     UndetectableError,
     build_decoding_plan,
-    eigenvalue_on_error,
-    is_decoding_observable,
+    eigenvalues,
     pauli_normalizer_generators,
     pauli_syndrome_partition,
     sign_string,
@@ -134,7 +135,7 @@ def cmd_plan(args) -> int:
     code, file_errors = _load_code(args.code)
     errors = _resolve_errors(code, file_errors, args.errors)
     try:
-        plan = build_decoding_plan(code, errors, mode=args.mode, workers=args.workers)
+        plan = build_decoding_plan(code, errors, mode=args.mode)
     except UndetectableError as exc:
         raise CliError(str(exc))
     print(plan.to_table())
@@ -188,6 +189,13 @@ class Claims:
     entries: dict[str, Type4Observable | ValueError] | None = None
 
 
+def _check_lengths(n: int, vectors) -> None:
+    """ValueError naming the first (JSON path, vector) pair not of length n."""
+    for at, v in vectors:
+        if len(v) != n:
+            raise ValueError(f"field {at!r} has length {len(v)}, code has n={n}")
+
+
 def _read_plan(code: CwsCode, fingerprint: str, path: str) -> Claims:
     data = _load_json(path)
     try:
@@ -197,6 +205,13 @@ def _read_plan(code: CwsCode, fingerprint: str, path: str) -> Claims:
                 f"plan was computed from code {plan.code_sha256[:12]}..., "
                 f"given code is {fingerprint[:12]}...; refusing to verify"
             )
+        if plan.n != code.n:
+            raise ValueError(f"field 'n' is {plan.n}, code has n={code.n}")
+        _check_lengths(code.n, [
+            *((f"pauli_observables[{k}]", o) for k, o in enumerate(plan.pauli_observables)),
+            *((f"type4_observables[{k}].{key}", getattr(a, key))
+              for k, a in enumerate(plan.type4_observables) for key in ("v", "v1", "v2")),
+        ])
         errors = errors_from_entries(
             [{"label": l, "pauli": p} for l, p in zip(plan.error_labels, plan.error_paulis)],
             code.n,
@@ -239,12 +254,17 @@ def _read_table(code: CwsCode, file_errors: ErrorSet | None, path: str) -> Claim
             for key in ("v", "v1", "v2"):
                 json_value(entry.get(key, ""), str, f"observables[{k}].{key}")
             try:
-                entries[entry["name"]] = Type4Observable.from_dict(entry)
+                obs = Type4Observable.from_dict(entry)
             except ValueError as exc:
                 entries[entry["name"]] = exc
+                continue
+            _check_lengths(code.n, ((f"observables[{k}].{key}", getattr(obs, key))
+                                    for key in ("v", "v1", "v2")))
+            entries[entry["name"]] = obs
         if "pauli_observables" in data:
             vectors = json_value(data["pauli_observables"], list, "pauli_observables")
             layer = [json_vector(o, f"pauli_observables[{k}]") for k, o in enumerate(vectors)]
+            _check_lengths(code.n, ((f"pauli_observables[{k}]", o) for k, o in enumerate(layer)))
         for k, cls in enumerate(table_classes):
             if not isinstance(cls, dict):
                 raise invalid(f"classes[{k}] must be an object")
@@ -302,16 +322,17 @@ def cmd_verify(args) -> int:
             notes[name] = [] if stabilizes(code, obs) else ["does not stabilize the code"]
     states = _oracle_states(code) if claims.observables else None
     oracle_passed = oracle_failed = 0
+    words = classical_words(code, errors)
     for claim in claims.observables:
         out = notes.setdefault(claim.owner, [])
         obs = claim.observable
-        subset = errors.subset(list(claim.signs))
-        if not is_decoding_observable(code, subset, obs):
-            out.append(f"{claim.name}: leaks on {{{', '.join(subset.labels)}}}")
+        signs = eigenvalues(code, words[list(claim.signs)], obs).tolist()
+        if not all(signs):
+            labels = ", ".join(errors.labels[i] for i in claim.signs)
+            out.append(f"{claim.name}: leaks on {{{labels}}}")
             continue
         element = verify.type4_element(code, obs) if states is not None else None
-        for i, expected in claim.signs.items():
-            sign = eigenvalue_on_error(code, obs, errors.errors[i])
+        for (i, expected), sign in zip(claim.signs.items(), signs):
             label = errors.labels[i]
             if sign != expected:
                 out.append(f"{claim.name}: sign on {label} is {sign:+d}, expected {expected:+d}")
@@ -352,13 +373,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("code", help="code definition JSON")
     p_plan.add_argument("--errors", help="JSON file with Pauli error strings")
     p_plan.add_argument(
-        "--mode", choices=("corollary", "exhaustive"), default="corollary",
+        "--mode", choices=MODES, default="corollary",
         help="candidate space for the pair search",
     )
     p_plan.add_argument(
         "--workers", type=int, default=1,
-        help="accepted for compatibility; the pair scan is serial and the flag"
-        " changes neither the result nor the scan",
+        help="ignored: the pair scan is serial; still accepted so that existing"
+        " command lines parse, and due to be removed",
     )
     p_plan.add_argument("--out", help="write the plan JSON here")
     p_plan.set_defaults(func=cmd_plan)

@@ -58,10 +58,6 @@ def parse_matrix(rows) -> np.ndarray:
     return np.array(parsed, dtype=np.uint8)
 
 
-def format_matrix(m) -> str:
-    return "\n".join(format_vector(row) for row in as_matrix(m))
-
-
 def to_int(v) -> int:
     """Big-endian integer value of a vector (position 0 most significant)."""
     out = 0

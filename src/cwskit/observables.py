@@ -39,6 +39,10 @@ from .cws import (
 from .pauli import Pauli
 
 
+# Candidate spaces of the pair search: the subset's normalizer or the whole group.
+MODES = ("corollary", "exhaustive")
+
+
 class UndetectableError(ValueError):
     """An error set contains an error the code cannot detect."""
 
@@ -163,13 +167,18 @@ def stabilizes(code: CwsCode, a: Type4Observable) -> bool:
     return np.array_equal(gf2.matvec(code.codewords, a.v), rhs)
 
 
-def _anticommutation(code: CwsCode, words: np.ndarray, a: Type4Observable):
-    """Per classical word: the anticommutation bits with S^v, S^v1, S^v2
-    (an |E| x 3 matrix) and whether the observable leaks on that error.
+def eigenvalues(code: CwsCode, words: np.ndarray, a: Type4Observable) -> np.ndarray:
+    """Measurement outcome of the observable on each error, one error per
+    row of classical ``words``: +1 or -1, or 0 where the observable leaks.
 
-    The correction of an error with bits (a1, a2) is a2 * v1 + a1 * v2, so
-    v plus the correction solves the stabilization system exactly when
-    C v + a2 * (C v1) + a1 * (C v2) equals the right-hand side.
+    A codeword state corrupted by E, E Z^c |G>, is up to phase the
+    graph-basis state Z^(c + w) |G> for the classical word w of E, and S^u
+    acts on it as (-1)^<c + w, u>.  So the eigenvalue at c = 0 is
+    sign * (-1)^(<w, v> + (<w, v1> OR <w, v2>)).  It holds for every
+    codeword exactly when v plus the correction a2 v1 + a1 v2 of the error,
+    with (a1, a2) = (<w, v1>, <w, v2>), still solves the stabilization
+    system: C v + a2 (C v1) + a1 (C v2) = C v1 | C v2.  Otherwise the
+    outcome depends on the codeword and the observable leaks.
     """
     if a.n != code.n:
         raise ValueError(f"observable length {a.n} does not match code n={code.n}")
@@ -178,34 +187,25 @@ def _anticommutation(code: CwsCode, words: np.ndarray, a: Type4Observable):
     images = (exps @ code.codewords.T) & 1  # C v, C v1, C v2 as rows
     shifted = images[0] ^ (bits[:, 2:3] & images[1]) ^ (bits[:, 1:2] & images[2])
     leaks = (shifted != (images[1] | images[2])).any(axis=1)
-    return bits, leaks
+    flips = bits[:, 0] ^ (bits[:, 1] | bits[:, 2])
+    return np.where(leaks, 0, a.sign * (1 - 2 * flips.astype(int)))
 
 
 def is_decoding_observable(code: CwsCode, errors: ErrorSet, a: Type4Observable) -> bool:
-    """Main usability criterion: for every error, v plus its commutation
-    correction must still solve the stabilization system.  Errors are
-    assumed detectable.  The overall sign does not matter here."""
-    _, leaks = _anticommutation(code, classical_words(code, errors), a)
-    return not leaks.any()
+    """Main usability criterion: the observable leaks on no error.  Errors
+    are assumed detectable.  The overall sign does not matter here."""
+    return bool(eigenvalues(code, classical_words(code, errors), a).all())
 
 
 def eigenvalue_on_error(code: CwsCode, a: Type4Observable, e: Pauli) -> int:
-    """Measurement outcome of the observable on any state corrupted by e.
-
-    Equals sign * m * (-1)^[correction != 0] where m is the commutation
-    sign of S^v with e; the correction is nonzero exactly when e
-    anticommutes with S^v1 or S^v2.  Raises ValueError when the observable
-    leaks on e, i.e. the usability criterion fails for the singleton {e}.
-    """
-    bits, leaks = _anticommutation(code, classicalize(code, e)[None, :], a)
-    if leaks[0]:
+    """``eigenvalues`` on one error; ValueError when the observable leaks on it."""
+    sign = int(eigenvalues(code, classicalize(code, e)[None, :], a)[0])
+    if not sign:
         raise ValueError(
             f"observable leaks on error {e}: shifted exponent does not solve"
             " the stabilization system"
         )
-    anti_v, anti1, anti2 = (int(b) for b in bits[0])
-    flips = anti_v + (anti1 | anti2)
-    return a.sign * (-1 if flips % 2 else 1)
+    return sign
 
 
 @dataclass
@@ -275,7 +275,6 @@ def search_type4(
     code: CwsCode,
     subset: ErrorSet,
     mode: str = "corollary",
-    workers: int = 1,
 ) -> Type4Observable | None:
     """First four-term observable splitting the subset, or None.
 
@@ -289,13 +288,11 @@ def search_type4(
     stabilization system solves) or the whole group (exhaustive: usability
     is enforced through the correction consistency condition).  Pairs are
     visited in ascending big-endian order with v1 < v2; the stabilization
-    solution is the coset minimum, so results are reproducible.  The scan
-    is serial: ``workers`` is accepted for compatibility and changes
-    neither the result nor the scan.
+    solution is the coset minimum, so results are reproducible.
     """
     if len(subset) < 2:
         raise ValueError("need at least two errors to split")
-    if mode not in ("corollary", "exhaustive"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     words = classical_words(code, subset)
     alpha = _syndrome_offsets(code, subset, words)
@@ -547,7 +544,10 @@ class DecodingPlan:
         field, such as ``classes[1].steps[0].signs``.  Member labels must
         name entries of ``errors``, a step's ``observable`` must index
         ``type4_observables``, and its ``signs`` must give +1 or -1 for
-        exactly the errors of its ``applies_to``.
+        exactly the errors of its ``applies_to``.  The header must agree
+        with the body: ``mode`` is one of the two search modes, ``resolved``
+        is true exactly when ``unresolved`` is empty, and each unresolved
+        entry names a class and only members of it.
         """
 
         def listed(obj, key, kind, path=""):
@@ -601,9 +601,26 @@ class DecodingPlan:
                 }
                 steps.append(RefinementStep(k, applies_to, step_signs))
             refinements.append(steps)
+        mode = json_field(d, "mode", str)
+        if mode not in MODES:
+            raise ValueError(f"field 'mode' must be 'corollary' or 'exhaustive', got {mode!r}")
+        unresolved = []
+        for at, u in listed(d, "unresolved", dict):
+            k = json_field(u, "class", int, at)
+            if not 0 <= k < len(classes):
+                raise ValueError(
+                    f"field '{at}.class' refers to class {k}, plan has {len(classes)} classes"
+                )
+            stuck = members(u, "members", at)
+            outside = [labels[i] for i in stuck if i not in classes[k].members]
+            if outside:
+                raise ValueError(f"field '{at}.members' names {outside[0]!r}, not in class {k}")
+            unresolved.append(UnresolvedSubset(k, stuck, json_field(u, "pairs_searched", int, at)))
+        if d.get("resolved") is not (not unresolved):
+            raise ValueError("field 'resolved' must be true exactly when 'unresolved' is empty")
         return cls(
             n=json_field(d, "n", int),
-            mode=json_field(d, "mode", str),
+            mode=mode,
             code_sha256=json_field(d, "code_sha256", str),
             error_labels=labels,
             error_paulis=[json_field(e, "pauli", str, at) for at, e in errors],
@@ -613,14 +630,7 @@ class DecodingPlan:
             classes=classes,
             type4_observables=observables,
             refinements=refinements,
-            unresolved=[
-                UnresolvedSubset(
-                    json_field(u, "class", int, at),
-                    members(u, "members", at),
-                    json_field(u, "pairs_searched", int, at),
-                )
-                for at, u in listed(d, "unresolved", dict)
-            ],
+            unresolved=unresolved,
         )
 
     def to_table(self) -> str:
@@ -654,7 +664,6 @@ def build_decoding_plan(
     code: CwsCode,
     errors: ErrorSet,
     mode: str = "corollary",
-    workers: int = 1,
 ) -> DecodingPlan:
     """Full decoding procedure.
 
@@ -671,6 +680,7 @@ def build_decoding_plan(
             raise UndetectableError(f"error {label!r} is not detectable: {result.detail}")
     pauli_obs = pauli_normalizer_generators(code)
     classes = pauli_syndrome_partition(code, errors, pauli_obs)
+    words = classical_words(code, errors)
     found: list[Type4Observable] = []
     refinements: list[list[RefinementStep]] = []
     unresolved: list[UnresolvedSubset] = []
@@ -679,21 +689,13 @@ def build_decoding_plan(
         queue = deque([cls.members]) if len(cls.members) > 1 else deque()
         while queue:
             members = queue.popleft()
-            sub = errors.subset(members)
-            chosen: int | None = None
-            signs: dict[int, int] = {}
-            for oi, obs in enumerate(found):
-                if not is_decoding_observable(code, sub, obs):
-                    continue
-                trial = {
-                    i: eigenvalue_on_error(code, obs, errors.errors[i])
-                    for i in members
-                }
-                if len(set(trial.values())) > 1:
-                    chosen, signs = oi, trial
+            for chosen, obs in enumerate(found):
+                signs = eigenvalues(code, words[members], obs)
+                if set(signs.tolist()) == {1, -1}:
                     break
-            if chosen is None:
-                obs = search_type4(code, sub, mode=mode, workers=workers)
+            else:
+                sub = errors.subset(members)
+                obs = search_type4(code, sub, mode=mode)
                 if obs is None:
                     unresolved.append(
                         UnresolvedSubset(ci, members, search_space_size(code, sub, mode))
@@ -701,14 +703,12 @@ def build_decoding_plan(
                     continue
                 found.append(obs)
                 chosen = len(found) - 1
-                signs = {
-                    i: eigenvalue_on_error(code, obs, errors.errors[i])
-                    for i in members
-                }
-                assert len(set(signs.values())) > 1, "search returned a non-splitting observable"
-            steps.append(RefinementStep(chosen, members, signs))
-            plus = [i for i in members if signs[i] == 1]
-            minus = [i for i in members if signs[i] == -1]
+                signs = eigenvalues(code, words[members], obs)
+                assert set(signs.tolist()) == {1, -1}, "search returned a non-splitting observable"
+            signed = dict(zip(members, signs.tolist()))
+            steps.append(RefinementStep(chosen, members, signed))
+            plus = [i for i in members if signed[i] == 1]
+            minus = [i for i in members if signed[i] == -1]
             for group in (plus, minus):
                 if len(group) > 1:
                     queue.append(group)

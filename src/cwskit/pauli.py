@@ -108,11 +108,6 @@ def commutes(p: Pauli, q: Pauli) -> bool:
     return (gf2.dot(p.x, q.z) + gf2.dot(p.z, q.x)) % 2 == 0
 
 
-def weight(p: Pauli) -> int:
-    """Number of qubits on which the operator acts non-trivially."""
-    return int(np.sum(p.x | p.z))
-
-
 def stabilizer_element(generators: list[Pauli], v) -> Pauli:
     """Product generators[0]^v0 * generators[1]^v1 * ... with exact phase.
 

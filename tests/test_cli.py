@@ -292,6 +292,28 @@ EDITED_FAULTS = {
         "plan", lambda d: first_step(d)["signs"].update(Z5="x"),
         "field 'classes[1].steps[0].signs.Z5' must be +1 or -1, got 'x'"),
     "plan_missing_field": edited("plan", lambda d: d.pop("errors") and None, "missing field 'errors'"),
+    "plan_n_differs_from_code": edited("plan", lambda d: d.update(n=3), "field 'n' is 3, code has n=10"),
+    "plan_unknown_mode": edited(
+        "plan", lambda d: d.update(mode="banana"),
+        "field 'mode' must be 'corollary' or 'exhaustive', got 'banana'"),
+    "plan_resolved_with_no_unresolved_entry": edited(
+        "plan", lambda d: d.update(resolved=False),
+        "field 'resolved' must be true exactly when 'unresolved' is empty"),
+    "plan_resolved_missing": edited(
+        "plan", lambda d: d.pop("resolved") and None,
+        "field 'resolved' must be true exactly when 'unresolved' is empty"),
+    "plan_unresolved_class_out_of_range": edited(
+        "plan", lambda d: d.update(unresolved=[{"class": 99, "members": ["X1"], "pairs_searched": 3}]),
+        "field 'unresolved[0].class' refers to class 99, plan has 15 classes"),
+    "plan_unresolved_member_outside_class": edited(
+        "plan", lambda d: d.update(unresolved=[{"class": 0, "members": ["Y4", "Z5"], "pairs_searched": 3}]),
+        "field 'unresolved[0].members' names 'Z5', not in class 0"),
+    "plan_pauli_observable_wrong_length": edited(
+        "plan", lambda d: d["pauli_observables"].__setitem__(0, "1"),
+        "field 'pauli_observables[0]' has length 1, code has n=10"),
+    "plan_observable_vectors_wrong_length": edited(
+        "plan", lambda d: d["type4_observables"][0].update(v="00", v1="01", v2="10"),
+        "field 'type4_observables[0].v' has length 2, code has n=10"),
     "table_pauli_observable_not_string": edited(
         "table", lambda d: {"observables": [], "pauli_observables": [5]},
         "field 'pauli_observables[0]': not a binary string: 5"),
@@ -306,6 +328,12 @@ EDITED_FAULTS = {
     "table_vector_not_string": edited(
         "table", lambda d: d["observables"][0].update(v=5),
         "field 'observables[0].v' must be a string, got 5"),
+    "table_pauli_observable_wrong_length": edited(
+        "table", lambda d: d["pauli_observables"].__setitem__(1, "1"),
+        "field 'pauli_observables[1]' has length 1, code has n=10"),
+    "table_observable_vectors_wrong_length": edited(
+        "table", lambda d: d["observables"][1].update(v="00", v1="01", v2="10"),
+        "field 'observables[1].v' has length 2, code has n=10"),
     "table_unknown_observable": edited(
         "table", lambda d: d["classes"][0].update(observable="A9"),
         "class +++- names unknown observable 'A9'"),

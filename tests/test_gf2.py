@@ -179,7 +179,8 @@ class TestSerialization:
 
     def test_matrix_round_trip(self):
         text = "010\n101"
-        assert gf2.format_matrix(gf2.parse_matrix(text)) == text
+        rows = gf2.parse_matrix(text)
+        assert "\n".join(gf2.format_vector(row) for row in rows) == text
 
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):

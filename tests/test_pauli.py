@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cwskit import gf2
-from cwskit.pauli import Pauli, commutes, multiply, stabilizer_element, weight
+from cwskit.pauli import Pauli, commutes, multiply, stabilizer_element
 from dense_oracle import matrix_from_string, pauli_matrix, stabilizer_matrix
 
 
@@ -121,13 +121,6 @@ class TestCommutes:
             o = rng.integers(0, 2, 6).astype(np.uint8)
             z_op = Pauli(x=np.zeros(6, dtype=np.uint8), z=word)
             assert commutes(z_op, stabilizer_element(gens, o)) == (gf2.dot(word, o) == 0)
-
-
-class TestWeight:
-    def test_examples(self, ring_code):
-        assert weight(Pauli.identity(3)) == 0
-        assert weight(Pauli.single(3, 1, "Y")) == 1
-        assert weight(ring_code.generators[0]) == 4  # XZIIZZIIII
 
 
 class TestStabilizerElement:

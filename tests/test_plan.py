@@ -151,21 +151,3 @@ class TestPlanSerialization:
         assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(
             b.to_dict(), sort_keys=True
         )
-
-
-class TestPlanDeterminismAcrossWorkers:
-    def test_serial_equals_parallel(self, ring_code, ring_plan):
-        errors = cws.ErrorSet.weight_one(10)
-        parallel = build_decoding_plan(ring_code, errors, workers=8)
-        assert json.dumps(parallel.to_dict(), sort_keys=True) == json.dumps(
-            ring_plan.to_dict(), sort_keys=True
-        )
-
-    def test_exhaustive_mode_serial_equals_parallel(self, ring_code):
-        errors = cws.ErrorSet.weight_one(10)
-        serial = build_decoding_plan(ring_code, errors, mode="exhaustive")
-        parallel = build_decoding_plan(ring_code, errors, mode="exhaustive", workers=4)
-        assert serial.complete and parallel.complete
-        assert json.dumps(serial.to_dict(), sort_keys=True) == json.dumps(
-            parallel.to_dict(), sort_keys=True
-        )
