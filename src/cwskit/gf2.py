@@ -98,27 +98,35 @@ def rref(m, ncols: int | None = None) -> tuple[np.ndarray, list[int]]:
     pivots are taken among the first ``ncols`` columns only; the other
     columns, the right-hand sides of an augmented system, are carried
     along by the row operations.
+
+    Each row is eliminated as one Python integer (column c is bit
+    ``8 * nbytes - 1 - c`` of its big-endian packed bytes), so a row
+    operation is one XOR; the result is unpacked once at the end.
     """
-    r_mat = as_matrix(m).copy()
-    rows, cols = r_mat.shape
+    mat = as_matrix(m)
+    rows, cols = mat.shape
+    nbytes = -(-cols // 8)
+    buf = np.packbits(mat, axis=1).tobytes()
+    packed = [int.from_bytes(buf[k * nbytes : (k + 1) * nbytes], "big") for k in range(rows)]
+    top = 8 * nbytes - 1
     pivots: list[int] = []
     row = 0
     for col in range(cols if ncols is None else ncols):
         if row == rows:
             break
-        hits = np.nonzero(r_mat[row:, col])[0]
-        if hits.size == 0:
+        bit = 1 << (top - col)
+        pivot = next((k for k in range(row, rows) if packed[k] & bit), None)
+        if pivot is None:
             continue
-        pivot = row + int(hits[0])
-        if pivot != row:
-            r_mat[[row, pivot]] = r_mat[[pivot, row]]
-        others = np.nonzero(r_mat[:, col])[0]
-        others = others[others != row]
-        if others.size:
-            r_mat[others] ^= r_mat[row]
+        packed[row], packed[pivot] = packed[pivot], packed[row]
+        lead = packed[row]
+        for k in range(rows):
+            if k != row and packed[k] & bit:
+                packed[k] ^= lead
         pivots.append(col)
         row += 1
-    return r_mat, pivots
+    out = np.frombuffer(b"".join(r.to_bytes(nbytes, "big") for r in packed), dtype=np.uint8)
+    return np.unpackbits(out.reshape(rows, nbytes), axis=1, count=cols), pivots
 
 
 def rank(m) -> int:
@@ -214,7 +222,12 @@ def in_rowspace(m, v) -> bool:
 
 
 def enumerate_span(basis: list[np.ndarray], n: int) -> list[np.ndarray]:
-    """All vectors in the span of ``basis``, ascending as big-endian integers.
+    """All vectors in the span of ``basis``, ascending as big-endian integers."""
+    return list(span_rows(basis, n))
+
+
+def span_rows(basis: list[np.ndarray], n: int) -> np.ndarray:
+    """``enumerate_span`` as one matrix, a row per vector.
 
     Each vector is held as ceil(n / 64) big-endian 64-bit words (position 0
     is the top bit of word 0), so the span is formed by XOR doubling on
@@ -233,4 +246,4 @@ def enumerate_span(basis: list[np.ndarray], n: int) -> list[np.ndarray]:
     span = span[np.lexsort(span.T[::-1])]
     pos = np.arange(n)
     bits = (span[:, pos // 64] >> (63 - pos % 64).astype(np.uint64)) & np.uint64(1)
-    return list(bits.astype(np.uint8))
+    return bits.astype(np.uint8)

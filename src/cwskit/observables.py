@@ -261,7 +261,10 @@ def error_normalizer_elements(code: CwsCode, subset: ErrorSet) -> list[np.ndarra
 
 
 def search_space_size(code: CwsCode, subset: ErrorSet, mode: str = "corollary") -> int:
-    """Number of candidate (v1, v2) pairs the search may visit."""
+    """Number of candidate (v1, v2) pairs in the unreduced search space.
+
+    ``search_type4`` decides all of them but scans one candidate per coset
+    of its blind space, so it visits fewer."""
     if mode == "corollary":
         m = 2 ** (code.n - gf2.rank(classical_words(code, subset))) - 1
     elif mode == "exhaustive":
@@ -289,6 +292,21 @@ def search_type4(
     is enforced through the correction consistency condition).  Pairs are
     visited in ascending big-endian order with v1 < v2; the stabilization
     solution is the coset minimum, so results are reproducible.
+
+    The pair scan sees a candidate v only through its key: the image C v
+    and the gaps f(v)[t] = <w_t + w_0, v> over the subset's classical words
+    w_t (all zero in corollary mode).  Two candidates share their key
+    exactly when their difference lies in the blind space, the kernel of
+    [fixed; C], where ``fixed`` is the words in corollary mode and the rows
+    w_t + w_0 in exhaustive mode.  So only the minimum of each coset of the
+    blind space is scanned: the candidates that are 0 at every pivot column
+    of its echelon form (``gf2.coset_minimum``).  The first hit is
+    unchanged.  A pair from one coset never splits (its gaps
+    <w_t + w_0, v> + f(v)[t] vanish), nor does a pair with the zero coset
+    (see ``_pair_search``).  So the first hit in the full order joins two
+    other cosets A and B, min A < min B, and the first pair of A x B in
+    that order is (min A, min B).  ``search_space_size`` still counts the
+    full space, all of which is decided.
     """
     if len(subset) < 2:
         raise ValueError("need at least two errors to split")
@@ -296,12 +314,14 @@ def search_type4(
         raise ValueError(f"unknown mode {mode!r}")
     words = classical_words(code, subset)
     alpha = _syndrome_offsets(code, subset, words)
+    fixed = words if mode == "corollary" else words[1:] ^ words[0]
+    blind = gf2.kernel_basis(np.concatenate([fixed, code.codewords]))
+    _, pivots = gf2.rref(np.array(blind, dtype=np.uint8).reshape(len(blind), code.n))
+    # the coset minima: candidates that are 0 on every pivot of the blind space
+    zero_on = np.eye(code.n, dtype=np.uint8)[pivots]
     if mode == "corollary":
-        elems = error_normalizer_elements(code, subset)[1:]  # skip the zero vector
-        candidates = np.array(elems, dtype=np.uint8).reshape(len(elems), code.n)
-    else:
-        shifts = np.arange(code.n - 1, -1, -1)
-        candidates = ((np.arange(1, 2 ** code.n)[:, None] >> shifts) & 1).astype(np.uint8)
+        zero_on = np.concatenate([words, zero_on])  # and commute with the subset
+    candidates = gf2.span_rows(gf2.kernel_basis(zero_on), code.n)[1:]  # skip the zero coset
     if candidates.shape[0] < 2:
         return None
     return _pair_search(code, words, alpha, candidates)
@@ -394,6 +414,12 @@ def _pair_search(
     when <alpha_t, C v_i | C v_j> + f_i[t] = 1.  Both parities come from
     byte tables.  In corollary mode the candidates commute with the
     subset, so every f is zero.
+
+    Keys.  All of the above reads a pair only through the keys
+    (C v_i, f_i) and (C v_j, f_j), and a pair of equal keys has gaps
+    <alpha_t, C v_i> + f_i[t] = <w_t + w_0, v_i> + f_i[t] = 0.  So
+    ``search_type4`` passes one candidate per key, the smallest, and drops
+    the zero key; the first hit is the same as over every candidate.
     """
     c_mat = code.codewords
     images = _pack_rows((candidates @ c_mat.T) & 1)
@@ -547,7 +573,8 @@ class DecodingPlan:
         exactly the errors of its ``applies_to``.  The header must agree
         with the body: ``mode`` is one of the two search modes, ``resolved``
         is true exactly when ``unresolved`` is empty, and each unresolved
-        entry names a class and only members of it.
+        entry names a class and only members of it, no two of which a step
+        of that class separates.
         """
 
         def listed(obj, key, kind, path=""):
@@ -615,6 +642,11 @@ class DecodingPlan:
             outside = [labels[i] for i in stuck if i not in classes[k].members]
             if outside:
                 raise ValueError(f"field '{at}.members' names {outside[0]!r}, not in class {k}")
+            for j, step in enumerate(refinements[k]):
+                if {step.signs[i] for i in stuck if i in step.signs} == {1, -1}:
+                    raise ValueError(
+                        f"field '{at}.members' holds errors that 'classes[{k}].steps[{j}]' separates"
+                    )
             unresolved.append(UnresolvedSubset(k, stuck, json_field(u, "pairs_searched", int, at)))
         if d.get("resolved") is not (not unresolved):
             raise ValueError("field 'resolved' must be true exactly when 'unresolved' is empty")

@@ -17,6 +17,10 @@ _TOKEN_EXP = {"": 0, "+": 0, "i": 1, "+i": 1, "-": 2, "-i": 3}
 _EXP_TOKEN = {0: "", 1: "i", 2: "-", 3: "-i"}
 _LETTER_ZX = {"I": (0, 0), "X": (0, 1), "Z": (1, 0), "Y": (1, 1)}
 _ZX_LETTER = {zx: letter for letter, zx in _LETTER_ZX.items()}
+# bytes.translate table: letter -> 2 z + x, any other byte -> 4
+_LETTER_CODE = bytearray([4]) * 256
+for _letter, (_z, _x) in _LETTER_ZX.items():
+    _LETTER_CODE[ord(_letter)] = 2 * _z + _x
 _PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
@@ -28,6 +32,10 @@ class Pauli:
         z = gf2.as_vector(z).copy()
         if x.shape != z.shape:
             raise ValueError("x and z parts must have equal length")
+        self._set(x, z, phase_exp)
+
+    def _set(self, x: np.ndarray, z: np.ndarray, phase_exp: int) -> None:
+        """Take fresh 0/1 uint8 vectors of equal length as the parts, uncopied."""
         x.setflags(write=False)
         z.setflags(write=False)
         self.x = x
@@ -56,14 +64,15 @@ class Pauli:
                 break
         if not s:
             raise ValueError("empty Pauli string")
-        try:
-            zx = [_LETTER_ZX[c] for c in s]
-        except KeyError as exc:
-            raise ValueError(f"invalid Pauli letter {exc.args[0]!r} in {s!r}") from None
-        z = np.array([p[0] for p in zx], dtype=np.uint8)
-        x = np.array([p[1] for p in zx], dtype=np.uint8)
-        y_count = int(np.sum(z & x))
-        return cls(x, z, _TOKEN_EXP[token] - y_count)
+        # one byte per character (a non-ASCII one becomes "?", no letter)
+        codes = s.encode("ascii", "replace").translate(_LETTER_CODE)
+        if 4 in codes:
+            bad = next(c for c in s if c not in _LETTER_ZX)
+            raise ValueError(f"invalid Pauli letter {bad!r} in {s!r}")
+        zx = np.frombuffer(codes, dtype=np.uint8)
+        p = cls.__new__(cls)
+        p._set(zx & 1, zx >> 1, _TOKEN_EXP[token] - codes.count(3))
+        return p
 
     @property
     def phase(self) -> complex:

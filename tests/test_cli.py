@@ -308,6 +308,10 @@ EDITED_FAULTS = {
     "plan_unresolved_member_outside_class": edited(
         "plan", lambda d: d.update(unresolved=[{"class": 0, "members": ["Y4", "Z5"], "pairs_searched": 3}]),
         "field 'unresolved[0].members' names 'Z5', not in class 0"),
+    "plan_unresolved_members_split_by_a_step": edited(
+        "plan", lambda d: d.update(
+            resolved=False, unresolved=[{"class": 0, "members": ["Y4", "Z10"], "pairs_searched": 3}]),
+        "field 'unresolved[0].members' holds errors that 'classes[0].steps[0]' separates"),
     "plan_pauli_observable_wrong_length": edited(
         "plan", lambda d: d["pauli_observables"].__setitem__(0, "1"),
         "field 'pauli_observables[0]' has length 1, code has n=10"),

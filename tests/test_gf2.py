@@ -19,7 +19,54 @@ def binary_matrix(max_rows=6, max_cols=8):
     )
 
 
+def numpy_rref(m, ncols=None):
+    """The earlier numpy elimination, the reference for ``gf2.rref``: the
+    same pivot order, each row operation a vectorised XOR of uint8 rows."""
+    r_mat = gf2.as_matrix(m).copy()
+    rows, cols = r_mat.shape
+    pivots = []
+    row = 0
+    for col in range(cols if ncols is None else ncols):
+        if row == rows:
+            break
+        hits = np.nonzero(r_mat[row:, col])[0]
+        if hits.size == 0:
+            continue
+        pivot = row + int(hits[0])
+        if pivot != row:
+            r_mat[[row, pivot]] = r_mat[[pivot, row]]
+        others = np.nonzero(r_mat[:, col])[0]
+        others = others[others != row]
+        if others.size:
+            r_mat[others] ^= r_mat[row]
+        pivots.append(col)
+        row += 1
+    return r_mat, pivots
+
+
 class TestRref:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        rows=st.integers(0, 24),
+        cols=st.sampled_from([0, 1, 7, 8, 9, 16, 25, 63, 64, 65, 130]),
+        data=st.data(),
+    )
+    def test_packed_elimination_matches_numpy_reference(self, seed, rows, cols, data):
+        rng = np.random.default_rng(seed)
+        m = (rng.random((rows, cols)) < rng.random()).astype(np.int64)
+        if rows > 2 and rng.integers(0, 2):
+            m[-1] = m[0] ^ m[1]  # a dependent row
+        m *= rng.integers(1, 4, size=m.shape)  # entries reduce mod 2
+        ncols = data.draw(st.none() | st.integers(0, cols), label="ncols")
+        before = m.copy()
+        reduced, pivots = gf2.rref(m, ncols)
+        expected, expected_pivots = numpy_rref(m, ncols)
+        assert pivots == expected_pivots
+        assert reduced.dtype == np.uint8 and reduced.shape == (rows, cols)
+        assert np.array_equal(reduced, expected)
+        assert np.array_equal(m, before)
+
     def test_identity_is_fixed(self):
         eye = np.eye(3, dtype=np.uint8)
         reduced, pivots = gf2.rref(eye)

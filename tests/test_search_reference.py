@@ -6,14 +6,18 @@ The reference walks candidate pairs (v1, v2) in the documented order
 ascending order that makes error 0 usable; it returns the first
 observable that ``is_decoding_observable`` accepts and on which
 ``eigenvalue_on_error`` takes both signs.  The kernel must return the
-same observable, or None exactly when the reference finds nothing.
+same observable, or None exactly when the reference finds nothing.  On
+codes whose codewords span less than n it must also scan exactly the
+smallest candidate of each nonzero key (C v, f(v)), found by brute force.
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cwskit import cws, gf2
+from cwskit import cws, gf2, observables
 from cwskit.cws import build_code, classicalize
 from cwskit.observables import (
     Type4Observable,
@@ -119,3 +123,92 @@ def test_kernel_matches_reference_on_ring_classes(ring_code, ring_errors):
         found = search_type4(ring_code, subset, mode="corollary")
         assert found is not None
         assert found == reference_first_hit(ring_code, subset, "corollary")
+
+
+def subspace_code(rng, n, dim, count):
+    """A graph code with ``count`` codewords (0 first) in a random subspace of
+    dimension ``dim`` < n, so C has a kernel and the scan's blind space, the
+    kernel of [fixed; C], is nonzero in both modes."""
+    basis = rng.integers(0, 2, size=(dim, n)).astype(np.uint8)
+    while gf2.rank(basis) < dim:
+        basis = rng.integers(0, 2, size=(dim, n)).astype(np.uint8)
+    adjacency = np.triu(rng.integers(0, 2, size=(n, n)), 1).astype(np.uint8)
+    adjacency |= adjacency.T
+    values = rng.choice(np.arange(1, 2 ** dim), size=count - 1, replace=False)
+    words = [np.zeros(n, dtype=np.uint8)] + [(gf2.from_int(int(x), dim) @ basis) & 1 for x in values]
+    return build_code(adjacency, words)
+
+
+def separable_subset(rng, code, size):
+    """Up to ``size`` errors of one Pauli syndrome class whose classical words
+    differ by no difference of two codewords, so that no two of them map
+    codeword states into one corrupted space and a four-term observable may
+    tell them apart.  Errors keep to one class when their words differ by
+    elements of the row space of C."""
+    n = code.n
+    differences = {(a ^ b).tobytes() for a in code.codewords for b in code.codewords}
+    offsets = [np.zeros(n, dtype=np.uint8)]
+    for r in rng.permutation(gf2.span_rows(list(code.codewords), n)):
+        if len(offsets) < size and all((r ^ o).tobytes() not in differences for o in offsets):
+            offsets.append(r)
+    base = rng.integers(0, 2, n).astype(np.uint8)
+    errors = []
+    for r in offsets:
+        x = rng.integers(0, 2, n).astype(np.uint8)
+        errors.append(Pauli(x, base ^ r ^ gf2.matvec(code.adjacency, x)))
+    return cws.ErrorSet(errors, [f"e{k}" for k in range(len(errors))])
+
+
+def coset_minima(code, subset, mode):
+    """By brute force over every candidate v: the number of candidates, and
+    the smallest candidate of each nonzero key (C v, f(v)), ascending, where
+    f(v)[t] = <w_t + w_0, v> for the subset's classical words w_t."""
+    n = code.n
+    every = ((np.arange(1, 2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
+    words = np.array([classicalize(code, e) for e in subset.errors])
+    if mode == "corollary":
+        every = every[~((every @ words.T) & 1).any(axis=1)]
+    keys = np.concatenate([every @ code.codewords.T, every @ (words[1:] ^ words[0]).T], axis=1) & 1
+    first = {}
+    for v, key in zip(every, keys):
+        if key.any():
+            first.setdefault(key.tobytes(), v)
+    return len(every), sorted(first.values(), key=gf2.to_int)
+
+
+def test_quotient_scan_matches_reference_on_rank_deficient_codes():
+    """With codewords spanning less than n, the scan gets the smallest
+    candidate of each nonzero coset of its blind space and nothing else,
+    and still returns the reference's first hit."""
+    outcomes = []
+
+    @settings(max_examples=60, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2 ** 32 - 1), mode=MODES)
+    def check(seed, mode):
+        rng = np.random.default_rng(seed)
+        chance = not rng.integers(0, 4)  # a class left to chance, mostly unsplittable
+        n = 5 if chance else int(rng.integers(6, 8))
+        subset = []
+        while len(subset) < 2:
+            # n - 1 codewords in dimension n - 2: ker C has dimension 2, so
+            # ker [words; C] is nonzero, and the codeword differences leave
+            # room for separable words
+            code = subspace_code(rng, n, n - 2, n - 1)
+            if chance:
+                subset = single_class_subset(rng, code, int(rng.integers(2, 4)), 2)
+            else:
+                subset = separable_subset(rng, code, int(rng.integers(2, 4)))
+        with mock.patch.object(observables, "_pair_search", wraps=observables._pair_search) as scan:
+            found = search_type4(code, subset, mode=mode)
+        assert found == reference_first_hit(code, subset, mode)
+        size, minima = coset_minima(code, subset, mode)
+        assert len(minima) < size  # the blind space is nonzero
+        if scan.called:
+            assert [gf2.to_int(v) for v in scan.call_args.args[3]] == [gf2.to_int(v) for v in minima]
+        else:
+            assert len(minima) < 2
+        outcomes.append(found is not None)
+
+    check()
+    assert len(outcomes) >= 60 and sum(outcomes) >= 25, (sum(outcomes), len(outcomes))
