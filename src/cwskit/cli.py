@@ -14,6 +14,7 @@ the oracle.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -358,6 +359,7 @@ def cmd_verify(args) -> int:
     return 0 if not failures else 1
 
 
+@functools.cache  # parse_args fills a fresh namespace, so one parser serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cwskit",

@@ -286,27 +286,27 @@ def search_type4(
     spans several classes raises ValueError, since the Pauli layer
     already separates it.
 
-    Candidate exponents are either the normalizer of the subset (fast,
-    corollary sound: corrections vanish so usability is automatic once the
-    stabilization system solves) or the whole group (exhaustive: usability
-    is enforced through the correction consistency condition).  Pairs are
-    visited in ascending big-endian order with v1 < v2; the stabilization
-    solution is the coset minimum, so results are reproducible.
+    Candidate exponents are the normalizer of the subset (corollary mode)
+    or the whole group (exhaustive mode).  Pairs are visited in ascending
+    big-endian order with v1 < v2; the stabilization solution is the coset
+    minimum, so results are reproducible.
 
-    The pair scan sees a candidate v only through its key: the image C v
-    and the gaps f(v)[t] = <w_t + w_0, v> over the subset's classical words
-    w_t (all zero in corollary mode).  Two candidates share their key
-    exactly when their difference lies in the blind space, the kernel of
-    [fixed; C], where ``fixed`` is the words in corollary mode and the rows
-    w_t + w_0 in exhaustive mode.  So only the minimum of each coset of the
-    blind space is scanned: the candidates that are 0 at every pivot column
-    of its echelon form (``gf2.coset_minimum``).  The first hit is
-    unchanged.  A pair from one coset never splits (its gaps
-    <w_t + w_0, v> + f(v)[t] vanish), nor does a pair with the zero coset
-    (see ``_pair_search``).  So the first hit in the full order joins two
-    other cosets A and B, min A < min B, and the first pair of A x B in
-    that order is (min A, min B).  ``search_space_size`` still counts the
-    full space, all of which is decided.
+    Both exponents of a usable pair that splits the subset commute alike
+    with every error of it: f(v)[t] = <w_t + w_0, v> = 0 over the subset's
+    classical words w_t (see ``_pair_search``).  So both modes scan only
+    candidates orthogonal to ``fixed``, and the mode only picks it: the
+    words in corollary mode, the rows w_t + w_0 in exhaustive mode, which
+    decides the whole group.  The scan sees a candidate only through its
+    image C v, shared exactly by candidates whose difference lies in the
+    blind space, the kernel of [fixed; C].  So only the minimum of each
+    coset of the blind space is scanned: the candidates that are 0 at
+    every pivot column of its echelon form (``gf2.coset_minimum``).  The
+    first hit is unchanged.  A pair from one coset, or with the zero coset,
+    never splits: C v1 | C v2 is then C v for one of them, and every gap
+    <alpha_t, C v> = <w_t + w_0, v> vanishes.  So the first hit in the
+    full order joins two other cosets A and B, min A < min B, and the
+    first pair of A x B in that order is (min A, min B).
+    ``search_space_size`` still counts the unreduced space, all decided.
     """
     if len(subset) < 2:
         raise ValueError("need at least two errors to split")
@@ -317,10 +317,8 @@ def search_type4(
     fixed = words if mode == "corollary" else words[1:] ^ words[0]
     blind = gf2.kernel_basis(np.concatenate([fixed, code.codewords]))
     _, pivots = gf2.rref(np.array(blind, dtype=np.uint8).reshape(len(blind), code.n))
-    # the coset minima: candidates that are 0 on every pivot of the blind space
-    zero_on = np.eye(code.n, dtype=np.uint8)[pivots]
-    if mode == "corollary":
-        zero_on = np.concatenate([words, zero_on])  # and commute with the subset
+    # orthogonal to fixed and 0 on every pivot of the blind space
+    zero_on = np.concatenate([fixed, np.eye(code.n, dtype=np.uint8)[pivots]])
     candidates = gf2.span_rows(gf2.kernel_basis(zero_on), code.n)[1:]  # skip the zero coset
     if candidates.shape[0] < 2:
         return None
@@ -391,45 +389,40 @@ def _pair_search(
     """First pair (i, j), i < j, of candidate rows whose four-term element
     is usable on the subset and splits it, as a solved observable.
 
-    Every candidate is packed once into 64-bit words: its image C v over
-    the K codewords, and its anticommutation bits a[t] against the |S|
-    subset errors taken relative to error 0, f[t] = a[t] + a[0].
+    Each candidate is packed once into 64-bit words as its image C v over
+    the K codewords; ``words`` only sets the width of the gap words and
+    solves the hit.  With a[t] the anticommutation bit of S^v and subset
+    error t, f[t] = a[t] + a[0] = <w_t + w_0, v> = <alpha_t, C v>, as
+    C^T alpha_t = w_t + w_0.
 
     Usability.  The correction of error t shifts the stabilization system
     by a_i[t] C v_j + a_j[t] C v_i, and the pair is usable when every shift
-    equals error 0's.  An error with f_i[t] = 1 only, f_j[t] = 1 only, or
-    both has a shift that differs by C v_j, C v_i or C v_i + C v_j.  A pair
-    with C v_i = 0 never splits a syndrome class (S^v_i is then a Pauli
-    decoding observable, so f_i = 0 and the sign gaps cancel), and likewise
-    for v_j.  So the scan keeps a pair exactly when f_i = f_j and, if f_i
-    is nonzero, C v_i = C v_j.
+    equals error 0's: f_i[t] C v_j = f_j[t] C v_i for every t.  A pair with
+    C v_i = 0 never splits a syndrome class (S^v_i is then a Pauli decoding
+    observable), and likewise for v_j.  So a usable pair that splits has
+    f_i = f_j, and C v_i = C v_j if f_i is nonzero, which makes its gaps
+    (below) <alpha_t, C v_i> + f_i[t] = 0.  Hence f_i = f_j = 0 for every
+    usable pair that splits, and ``search_type4`` passes only such
+    candidates: every shift is error 0's, and no pair is rejected.
 
     Solvability and splitting.  The shifted right-hand side is
-    (C v_i | C v_j) + C u with u = a_i[0] v_j + a_j[0] v_i.  As
-    C^T alpha_t = w_t + w_0, the commutation gap of S^v between errors t
-    and 0 is <alpha_t, C v> for every solution v.  For a kept pair,
-    <alpha_t, C u> = <w_t + w_0, u> and the gap of the correction bits
-    add up to f_i[t].  So the system is solvable when the left kernel of C
-    annihilates C v_i | C v_j, and error t's sign differs from error 0's
-    when <alpha_t, C v_i | C v_j> + f_i[t] = 1.  Both parities come from
-    byte tables.  In corollary mode the candidates commute with the
-    subset, so every f is zero.
-
-    Keys.  All of the above reads a pair only through the keys
-    (C v_i, f_i) and (C v_j, f_j), and a pair of equal keys has gaps
-    <alpha_t, C v_i> + f_i[t] = <w_t + w_0, v_i> + f_i[t] = 0.  So
-    ``search_type4`` passes one candidate per key, the smallest, and drops
-    the zero key; the first hit is the same as over every candidate.
+    (C v_i | C v_j) + C u with u = a_i[0] v_j + a_j[0] v_i.  The
+    commutation gap of S^v between errors t and 0 is <alpha_t, C v> for
+    every solution v, and neither <alpha_t, C u> = <w_t + w_0, u> nor the
+    correction bits add to it.  So the system is solvable when the left
+    kernel of C annihilates C v_i | C v_j, and error t's sign differs from
+    error 0's when <alpha_t, C v_i | C v_j> = 1.  Both parities come from
+    byte tables.  A pair of equal images has gaps <alpha_t, C v_i> = 0, so
+    ``search_type4`` passes one candidate per image, the smallest, and
+    drops the zero image; the first hit is the same as over every
+    candidate.
     """
     c_mat = code.codewords
     images = _pack_rows((candidates @ c_mat.T) & 1)
-    anti = _pack_rows((candidates @ words.T) & 1)
-    errs, width = words.shape[0], anti.shape[1]
-    valid = _pack_rows(np.ones((1, errs), dtype=np.uint8))[0]
-    flipped = anti ^ ((anti[:, :1] & 1) * valid)
-    any_flipped = _nonzero(flipped)
-    # parity bit t < 64 * width is <alpha_t, rhs>, aligned with the flipped
-    # words (0 for error 0); the bits after them are the left kernel of C
+    errs = words.shape[0]
+    width = -(-errs // 64)
+    # parity bit t < 64 * width is <alpha_t, rhs> (0 for error 0); the bits
+    # after them are the left kernel of C
     left = code.left_kernel
     parity_rows = np.zeros((64 * width + len(left), c_mat.shape[0]), dtype=np.uint8)
     parity_rows[1:errs] = alpha
@@ -450,15 +443,11 @@ def _pair_search(
         counts = np.minimum(row_stop[block_rows], stop) - np.maximum(row_start[block_rows], start)
         i = np.repeat(rows[block_rows], counts)
         j = np.arange(start, stop) - row_start[i] + i + 1
-        ci, cj = images.take(i, axis=0), images.take(j, axis=0)
-        fi, fj = flipped.take(i, axis=0), flipped.take(j, axis=0)
-        rejected = _nonzero(fi ^ fj) | (any_flipped.take(i) & _nonzero(ci ^ cj))
-        rhs_bytes = (ci | cj).view(np.uint8)
+        rhs_bytes = (images.take(i, axis=0) | images.take(j, axis=0)).view(np.uint8)
         parity = table[0].take(rhs_bytes[:, 0], axis=0)
         for b in range(1, table.shape[0]):
             parity ^= table[b].take(rhs_bytes[:, b], axis=0)
-        gaps = parity[:, :width] ^ fi
-        hits = np.flatnonzero(~rejected & ~_nonzero(parity[:, width:]) & _nonzero(gaps))
+        hits = np.flatnonzero(~_nonzero(parity[:, width:]) & _nonzero(parity[:, :width]))
         if hits.size:
             return _solved_observable(
                 code, words, candidates[i[hits[0]]], candidates[j[hits[0]]]

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cwskit import cws
+from cwskit import cli, cws
 from cwskit.cli import main
 from cwskit.observables import build_decoding_plan
 from conftest import CODE_FILE, REPO, TABLE_FILE
@@ -114,6 +114,26 @@ class TestPlan:
         assert main(["plan", CODE, "--workers", "1", "--out", str(a)]) == 0
         assert main(["plan", CODE, "--workers", "8", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_calls_share_one_parser_and_no_flags(self, tmp_path, capsys):
+        """``main`` reuses one parser; what one call parses does not carry
+        into the next."""
+        parser = cli.build_parser()
+        assert cli.build_parser() is parser
+        errors_file = write_json(tmp_path / "errors.json", {"errors": ["ZIIIIIIIII", "IYIIIIIIII"]})
+        out_file = tmp_path / "plan.json"
+        with mock.patch.object(parser, "parse_args", wraps=parser.parse_args) as parse:
+            assert main(["plan", CODE, "--errors", errors_file, "--out", str(out_file)]) == 0
+            first = json.loads(out_file.read_text())
+            out_file.unlink()
+            capsys.readouterr()
+            assert main(["plan", CODE]) == 0
+        assert parse.call_count == 2
+        assert not out_file.exists()  # no --out: the plan JSON goes to stdout
+        lines = capsys.readouterr().out.splitlines()
+        second = json.loads("\n".join(lines[lines.index("{"): lines.index("}") + 1]))
+        assert [e["label"] for e in first["errors"]] == ["ZIIIIIIIII", "IYIIIIIIII"]
+        assert [e["label"] for e in second["errors"]] == cws.ErrorSet.weight_one(10).labels
 
 
 class TestVerify:

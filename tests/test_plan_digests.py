@@ -1,10 +1,11 @@
 """Plans of the benchmark corpus are byte-identical to their pinned digests.
 
 ``perfbench/expected.json`` pins the sha256 of every plan the benchmark
-writes.  This plans the ring code in both modes, one ``full_scan`` slot
-and one ``large_n`` slot with the commands ``perfbench/run.py`` builds, so
-a change to the plan bytes fails in the test suite and not only in a
-benchmark run.  The pins are read, never written.
+writes.  This plans every pinned slot (the ring code in both modes, and
+each ``full_scan`` and ``large_n`` slot) with the commands
+``perfbench/run.py`` builds, so a change to the plan bytes fails in the
+test suite and not only in a benchmark run.  The pins are read, never
+written.
 """
 
 import contextlib
@@ -27,7 +28,12 @@ with mock.patch.dict(os.environ):  # run.py pins BLAS threads for its own proces
 PINS = json.loads((REPO / "perfbench" / "expected.json").read_text())
 
 
-@pytest.mark.parametrize("workload, seed", [("ring", 1), ("full_scan", 1), ("large_n", 1)])
+# one seed per pinned slot; the ring workload has one slot for every seed
+SEEDS = [(workload, 1 if slot == "all" else int(slot)) for workload in run.WORKLOADS
+         for slot in sorted(PINS[workload], key=lambda s: (len(s), s))]
+
+
+@pytest.mark.parametrize("workload, seed", SEEDS)
 def test_plan_digests_match_pins(workload, seed, tmp_path):
     wl = run.build_workload(workload, seed, tmp_path)
     pins = PINS[workload][run.slot_of(workload, seed)]

@@ -8,12 +8,15 @@ observable that ``is_decoding_observable`` accepts and on which
 ``eigenvalue_on_error`` takes both signs.  The kernel must return the
 same observable, or None exactly when the reference finds nothing.  On
 codes whose codewords span less than n it must also scan exactly the
-smallest candidate of each nonzero key (C v, f(v)), found by brute force.
+smallest candidate of each nonzero key (C v, f(v)) whose f(v) part is
+zero, found by brute force: in both modes only exponents that commute
+alike with every error of the subset can take part in a hit.
 """
 
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -161,17 +164,19 @@ def separable_subset(rng, code, size):
 
 def coset_minima(code, subset, mode):
     """By brute force over every candidate v: the number of candidates, and
-    the smallest candidate of each nonzero key (C v, f(v)), ascending, where
-    f(v)[t] = <w_t + w_0, v> for the subset's classical words w_t."""
+    the smallest candidate of each nonzero key (C v, f(v)) whose f(v) part
+    is zero, ascending, where f(v)[t] = <w_t + w_0, v> for the subset's
+    classical words w_t."""
     n = code.n
     every = ((np.arange(1, 2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
     words = np.array([classicalize(code, e) for e in subset.errors])
     if mode == "corollary":
         every = every[~((every @ words.T) & 1).any(axis=1)]
+    K = code.num_codewords
     keys = np.concatenate([every @ code.codewords.T, every @ (words[1:] ^ words[0]).T], axis=1) & 1
     first = {}
     for v, key in zip(every, keys):
-        if key.any():
+        if key.any() and not key[K:].any():
             first.setdefault(key.tobytes(), v)
     return len(every), sorted(first.values(), key=gf2.to_int)
 
@@ -212,3 +217,39 @@ def test_quotient_scan_matches_reference_on_rank_deficient_codes():
 
     check()
     assert len(outcomes) >= 60 and sum(outcomes) >= 25, (sum(outcomes), len(outcomes))
+
+
+# A full-rank n=6 code that detects all 18 single-qubit errors.
+FULL_RANK_ADJACENCY = ["001000", "000111", "100001", "010011", "010101", "011110"]
+FULL_RANK_CODEWORDS = [0, 62, 28, 42, 37, 47, 44]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_class_with_full_rank_word_differences_has_no_candidates(n):
+    """When the word differences w_t + w_0 of a class have rank n, no
+    exponent but 0 commutes alike with every error of it, so the whole
+    group holds no usable pair that splits the class: exhaustive mode
+    answers None without a scan, and still reports the unreduced space."""
+    if n == 6:
+        code = build_code([[int(b) for b in row] for row in FULL_RANK_ADJACENCY],
+                          [gf2.from_int(w, n) for w in FULL_RANK_CODEWORDS])
+    else:  # codewords 0, e_1, ..., e_n: full rank, detection not needed here
+        rng = np.random.default_rng(n)
+        adjacency = np.triu(rng.integers(0, 2, size=(n, n)), 1).astype(np.uint8)
+        code = build_code(adjacency | adjacency.T,
+                          [np.zeros(n, dtype=np.uint8)] + list(np.eye(n, dtype=np.uint8)))
+    subset = cws.ErrorSet.weight_one(n)
+    words = np.array([classicalize(code, e) for e in subset.errors])
+    assert gf2.rank(code.codewords) == n and gf2.rank(words[1:] ^ words[0]) == n
+    size = (2 ** n - 1) * (2 ** n - 2) // 2
+    with mock.patch.object(observables, "_pair_search", wraps=observables._pair_search) as scan:
+        assert search_type4(code, subset, mode="exhaustive") is None
+        assert observables.search_space_size(code, subset, "exhaustive") == size
+        if n == 6:
+            plan = observables.build_decoding_plan(code, subset, mode="exhaustive")
+            assert [(u.class_index, u.members, u.pairs_searched) for u in plan.unresolved] == [
+                (0, list(range(3 * n)), size)
+            ]
+    assert not scan.called
+    if n <= 5:
+        assert reference_first_hit(code, subset, "exhaustive") is None
