@@ -237,6 +237,23 @@ class TestSerialization:
         assert gf2.to_int(gf2.parse_vector("100")) == 4
         assert gf2.format_vector(gf2.from_int(4, 3)) == "100"
 
+    @pytest.mark.parametrize("n", [0, 1, 8, 63, 64, 100])
+    def test_int_round_trip_at_every_width(self, n):
+        rng = np.random.default_rng(n)
+        values = {0, (1 << n) - 1} | {int(rng.integers(0, 2)) << (n - 1) for _ in range(2) if n}
+        values |= {sum(int(b) << i for i, b in enumerate(rng.integers(0, 2, n))) for _ in range(5)}
+        for value in values:
+            vec = gf2.from_int(value, n)
+            assert vec.shape == (n,) and vec.dtype == np.uint8
+            assert gf2.to_int(vec) == value
+
+    def test_to_int_of_empty_vector_is_zero(self):
+        assert gf2.to_int(np.zeros(0, dtype=np.uint8)) == 0
+        assert gf2.to_int([]) == 0
+
+    def test_to_int_reduces_entries_mod_two(self):
+        assert gf2.to_int(np.array([3, 2, 1])) == 0b101
+
     def test_determinism_bitwise(self, ring_code):
         a = gf2.rref(ring_code.codewords)
         b = gf2.rref(ring_code.codewords)

@@ -41,7 +41,10 @@ def test_traced_ring_plan_and_verify(tmp_path, capsys):
     assert "oracle:      600 passed, 0 failed" in capsys.readouterr().out
     counts = layers.metrics(tracer)
     assert counts["observables.searches"] > 0
+    # the corollary plan's verify pass, as the traced benchmark counts it
     assert counts["verify.eigenchecks"] == 600
+    assert counts["verify.apply_calls"] == 3620
+    assert counts["pauli.stabilizer_element_calls"] == 60
     assert counts["cws.detects_calls"] == 30
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,34 @@ from conftest import random_code
 from dense_oracle import element_matrix, graph_state_circuit, pauli_matrix
 
 
+def literal_apply(p: Pauli, state: np.ndarray) -> np.ndarray:
+    """Z^z X^x with phase, one basis index at a time over Python ints: the
+    amplitude at k is phase * (-1)^popcount(k & z) * state[k ^ x]."""
+    n = p.n
+    x = sum(int(b) << (n - 1 - q) for q, b in enumerate(p.x))
+    z = sum(int(b) << (n - 1 - q) for q, b in enumerate(p.z))
+    out = np.empty(1 << n, dtype=complex)
+    for k in range(1 << n):
+        sign = -1 if bin(k & z).count("1") % 2 else 1
+        out[k] = p.phase * sign * state[k ^ x]
+    return out
+
+
+def literal_graph_state(adjacency: np.ndarray) -> np.ndarray:
+    """Sign (-1)^(edges inside the support of k), counted pair by pair."""
+    n = adjacency.shape[0]
+    signs = np.empty(1 << n)
+    for k in range(1 << n):
+        support = [q for q in range(n) if (k >> (n - 1 - q)) & 1]
+        edges = sum(int(adjacency[a, b]) for a, b in itertools.combinations(support, 2))
+        signs[k] = -1.0 if edges % 2 else 1.0
+    return signs.astype(np.complex128) / np.sqrt(1 << n)
+
+
+def random_state(rng: np.random.Generator, n: int) -> np.ndarray:
+    return rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+
+
 class TestGraphState:
     def test_single_vertex_is_plus(self):
         code = cws.build_code(np.zeros((1, 1), dtype=np.uint8), [np.zeros(1, dtype=np.uint8)])
@@ -34,6 +64,11 @@ class TestGraphState:
         for _ in range(10):
             code = random_code(rng, int(rng.integers(1, 6)), max_words=1)
             assert np.allclose(graph_state(code), graph_state_circuit(code.adjacency))
+
+    @pytest.mark.parametrize("n", [10, 11, 12, 13, 14])
+    def test_amplitudes_match_literal_edge_count_bitwise(self, n):
+        code = random_code(np.random.default_rng(100 + n), n, max_words=1)
+        assert graph_state(code).tobytes() == literal_graph_state(code.adjacency).tobytes()
 
     def test_ring_code_generators_fix_state(self, ring_code):
         psi = graph_state(ring_code)
@@ -71,6 +106,36 @@ class TestApply:
             p = Pauli(rng.integers(0, 2, n), rng.integers(0, 2, n), int(rng.integers(0, 4)))
             state = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
             assert np.allclose(apply(p, state), pauli_matrix(p) @ state)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_pauli_and_phase_matches_literal_loop(self, n):
+        state = random_state(np.random.default_rng(n), n)
+        for zx in range(1 << (2 * n)):
+            z, x = gf2.from_int(zx >> n, n), gf2.from_int(zx & ((1 << n) - 1), n)
+            for phase_exp in range(4):
+                p = Pauli(x, z, phase_exp)
+                assert np.array_equal(apply(p, state), literal_apply(p, state)), (str(p), phase_exp)
+
+    @pytest.mark.parametrize("n", [12, 13, 14])
+    def test_random_paulis_match_literal_loop_up_to_the_cap(self, n):
+        assert n <= verify.DEFAULT_ORACLE_CAP
+        rng = np.random.default_rng(50 + n)
+        state = random_state(rng, n)
+        for _ in range(3):
+            p = Pauli(rng.integers(0, 2, n), rng.integers(0, 2, n), int(rng.integers(0, 4)))
+            assert np.array_equal(apply(p, state), literal_apply(p, state)), str(p)
+
+    def test_four_term_element_matches_literal_loop_at_n12(self):
+        rng = np.random.default_rng(61)
+        code = random_code(rng, 12, max_words=4)
+        v, v1, v2 = (rng.integers(0, 2, 12).astype(np.uint8) for _ in range(3))
+        elem = type4_element(code, Type4Observable(v, v1, v2, sign=-1))
+        assert len(elem.expanded()) == 4
+        state = random_state(rng, 12)
+        expected = np.zeros_like(state)
+        for coeff, p in elem.expanded():
+            expected += coeff * literal_apply(p, state)
+        assert np.array_equal(apply(elem, state), expected)
 
     def test_double_application_gives_square_phase(self):
         rng = np.random.default_rng(29)
