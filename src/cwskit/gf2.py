@@ -60,10 +60,7 @@ def parse_matrix(rows) -> np.ndarray:
 
 def to_int(v) -> int:
     """Big-endian integer value of a vector (position 0 most significant)."""
-    out = 0
-    for b in as_vector(v):
-        out = (out << 1) | int(b)
-    return out
+    return int(format_vector(v) or "0", 2)
 
 
 def from_int(value: int, n: int) -> np.ndarray:

@@ -2,9 +2,12 @@
 
 Deliberately simple: states are full complex vectors of length 2^n with
 qubit 1 as the most significant index bit, Pauli application is a signed
-permutation, and group-algebra elements are applied term by term.  The
-oracle exists to double-check the algebraic modules, so it stays dense
-and independent of them; a size cap keeps it at desk scale.
+permutation, and group-algebra elements are applied term by term.  With
+x, z packed as integers, i^k Z^z X^x takes amplitude k ^ x to k with sign
+(-1)^popcount(k & z), read from a parity table built by doubling and
+cached per n with the index range.  The oracle exists to double-check
+the algebraic modules, so it stays dense and independent of them; a size
+cap keeps it at desk scale.
 """
 
 from __future__ import annotations
@@ -37,28 +40,32 @@ def oracle_cap() -> int:
 
 
 @lru_cache(maxsize=None)
-def _bits(n: int) -> np.ndarray:
-    """(2^n, n) table of basis index bits, qubit 1 most significant."""
+def _tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only indices 0..2^n-1 and parities: parity[k + 2^j] = ~parity[k]."""
+    parity = np.zeros(1, dtype=bool)
+    for _ in range(n):
+        parity = np.concatenate([parity, ~parity])
     idx = np.arange(1 << n)
-    table = np.zeros((1 << n, n), dtype=np.uint8)
-    for q in range(n):
-        table[:, q] = (idx >> (n - 1 - q)) & 1
-    table.setflags(write=False)
-    return table
+    idx.setflags(write=False)
+    parity.setflags(write=False)
+    return idx, parity
 
 
 def graph_state(code: CwsCode, cap: int | None = None) -> np.ndarray:
     """The unique state fixed by every derived generator.
 
-    Uniform superposition with amplitude sign (-1)^(number of graph edges
-    inside the support of the basis string).
+    Uniform superposition; amplitude k has sign -1 when an odd number of
+    graph edges lie inside its support, that is when the XOR over vertices
+    q in the support of the parity of k on q's later neighbours is 1.
     """
     limit = oracle_cap() if cap is None else cap
     if code.n > limit:
         raise OracleCapExceeded(f"n={code.n} exceeds oracle cap {limit}")
-    bits = _bits(code.n)
-    edges_inside = ((bits @ code.adjacency) * bits).sum(axis=1) // 2
-    signs = np.where(edges_inside % 2, -1.0, 1.0)
+    idx, parity = _tables(code.n)
+    odd = np.zeros_like(idx)
+    for q, row in enumerate(code.adjacency):
+        odd ^= (idx >> (code.n - 1 - q)) & parity[idx & gf2.to_int(row[q + 1:])]
+    signs = np.where(odd, -1.0, 1.0)
     return signs.astype(np.complex128) / np.sqrt(1 << code.n)
 
 
@@ -118,11 +125,9 @@ def apply(op, state: np.ndarray) -> np.ndarray:
             raise ValueError(
                 f"state has dimension {state.shape[0]}, operator needs {1 << op.n}"
             )
-        idx = np.arange(1 << op.n)
-        src = idx ^ gf2.to_int(op.x)
-        parity = (_bits(op.n) @ op.z) % 2
-        signs = np.where(parity, -1.0, 1.0)
-        return op.phase * signs * state[src]
+        idx, parity = _tables(op.n)
+        signs = np.where(parity[idx & gf2.to_int(op.z)], -op.phase, op.phase)
+        return signs * state[idx ^ gf2.to_int(op.x)]
     if isinstance(op, GroupAlgebraElement):
         out = np.zeros_like(state)
         for coeff, p in op.expanded():
@@ -178,8 +183,5 @@ def codeword_states(code: CwsCode, cap: int | None = None) -> list[np.ndarray]:
     """Basis states of the code: each codeword operator applied to the
     stabilized state."""
     psi = graph_state(code, cap=cap)
-    states = []
-    for word in code.codewords:
-        zeros = np.zeros(code.n, dtype=np.uint8)
-        states.append(apply(Pauli(x=zeros, z=word), psi))
-    return states
+    zeros = np.zeros(code.n, dtype=np.uint8)
+    return [apply(Pauli(x=zeros, z=word), psi) for word in code.codewords]
