@@ -239,17 +239,14 @@ class TestSerialization:
 
     @pytest.mark.parametrize("n", [0, 1, 8, 63, 64, 100])
     def test_int_round_trip_at_every_width(self, n):
+        # n = 0 is the empty vector, which must still give 0
         rng = np.random.default_rng(n)
-        values = {0, (1 << n) - 1} | {int(rng.integers(0, 2)) << (n - 1) for _ in range(2) if n}
-        values |= {sum(int(b) << i for i, b in enumerate(rng.integers(0, 2, n))) for _ in range(5)}
+        values = {0, (1 << n) - 1, (1 << n) >> 1}
+        values |= {int.from_bytes(rng.bytes(16), "big") >> (128 - n) for _ in range(5)}
         for value in values:
             vec = gf2.from_int(value, n)
             assert vec.shape == (n,) and vec.dtype == np.uint8
             assert gf2.to_int(vec) == value
-
-    def test_to_int_of_empty_vector_is_zero(self):
-        assert gf2.to_int(np.zeros(0, dtype=np.uint8)) == 0
-        assert gf2.to_int([]) == 0
 
     def test_to_int_reduces_entries_mod_two(self):
         assert gf2.to_int(np.array([3, 2, 1])) == 0b101
