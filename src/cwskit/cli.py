@@ -6,9 +6,7 @@ plus conditional four-term refinements), ``verify`` replays a plan or an
 externally supplied observable table through the algebraic checks and the
 exact state-vector oracle.
 
-Exit codes: 0 success, 1 input or contract error, 2 partial plan.  The
-environment variable CWS_ORACLE_CAP overrides the default qubit cap of
-the oracle.
+Exit codes: 0 success, 1 input or contract error, 2 partial plan.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -62,16 +59,12 @@ class RunReport:
     oracle_failed: int = 0
     wall_time_s: float = 0.0
 
-    def print(self, stream=None) -> None:
-        stream = stream if stream is not None else sys.stdout
-        print(f"command:     {self.command}", file=stream)
-        print(f"code sha256: {self.code_sha256}", file=stream)
+    def print(self) -> None:
+        print(f"command:     {self.command}")
+        print(f"code sha256: {self.code_sha256}")
         if self.oracle_passed or self.oracle_failed:
-            print(
-                f"oracle:      {self.oracle_passed} passed, {self.oracle_failed} failed",
-                file=stream,
-            )
-        print(f"wall time:   {self.wall_time_s:.3f}s", file=stream)
+            print(f"oracle:      {self.oracle_passed} passed, {self.oracle_failed} failed")
+        print(f"wall time:   {self.wall_time_s:.3f}s")
 
 
 def _load_json(path: str) -> dict:
@@ -152,19 +145,6 @@ def cmd_plan(args) -> int:
     return 0 if plan.complete else 2
 
 
-def _oracle_states(code: CwsCode):
-    try:
-        cap = verify.oracle_cap()
-    except ValueError:
-        env = verify.ORACLE_CAP_ENV
-        raise CliError(f"{env} must be an integer, got {os.environ[env]!r}")
-    try:
-        return verify.codeword_states(code, cap=cap)
-    except verify.OracleCapExceeded as exc:
-        print(f"warning: oracle skipped ({exc})")
-        return None
-
-
 @dataclass
 class Claim:
     """Expected eigenvalues of one four-term observable on some errors.
@@ -181,13 +161,15 @@ class Claims:
     """What ``verify`` checks, read from a plan or an external table.
     ``classes`` (syndrome, member indices) are checked against the partition
     under ``layer``, if given.  ``entries`` maps a table's observable names to
-    the observable or to the ValueError that made it invalid."""
+    the observable or to the ValueError that made it invalid.  ``faults``
+    are failures found while reading, such as a plan class left unsplit."""
 
     errors: ErrorSet
     layer: list[np.ndarray] | None
     classes: list[tuple[str, list[int]]]
     observables: list[Claim]
     entries: dict[str, Type4Observable | ValueError] | None = None
+    faults: tuple[str, ...] = ()
 
 
 def _check_lengths(n: int, vectors) -> None:
@@ -228,7 +210,14 @@ def _read_plan(code: CwsCode, fingerprint: str, path: str) -> Claims:
         for ci, steps in enumerate(plan.refinements) for step in steps
     ]
     classes = [(sign_string(c.signs), c.members) for c in plan.classes]
-    return Claims(errors, plan.pauli_observables, classes, claims)
+    unresolved = {u.class_index for u in plan.unresolved}
+    faults = tuple(
+        f"class {ci}: no step or unresolved entry separates "
+        f"{{{', '.join(errors.labels[i] for i in c.members)}}}"
+        for ci, (c, steps) in enumerate(zip(plan.classes, plan.refinements))
+        if len(c.members) > 1 and not steps and ci not in unresolved
+    )
+    return Claims(errors, plan.pauli_observables, classes, claims, faults=faults)
 
 
 def _read_table(code: CwsCode, file_errors: ErrorSet | None, path: str) -> Claims:
@@ -315,13 +304,19 @@ def cmd_verify(args) -> int:
                     f"{syndrome}: expected members {expected}, "
                     f"partition gives {partition.get(syndrome)}"
                 )
+    failures.extend(claims.faults)
     notes: dict[str | None, list[str]] = {}
     for name, obs in (claims.entries or {}).items():
         if isinstance(obs, ValueError):
             notes[name] = [f"invalid observable: {obs}"]
         else:
             notes[name] = [] if stabilizes(code, obs) else ["does not stabilize the code"]
-    states = _oracle_states(code) if claims.observables else None
+    states = []
+    if claims.observables:
+        if code.n > verify.ORACLE_CAP:
+            print(f"warning: oracle skipped (n={code.n} exceeds oracle cap {verify.ORACLE_CAP})")
+        else:
+            states = verify.codeword_states(code)
     oracle_passed = oracle_failed = 0
     words = classical_words(code, errors)
     for claim in claims.observables:
@@ -332,12 +327,12 @@ def cmd_verify(args) -> int:
             labels = ", ".join(errors.labels[i] for i in claim.signs)
             out.append(f"{claim.name}: leaks on {{{labels}}}")
             continue
-        element = verify.type4_element(code, obs) if states is not None else None
+        element = verify.type4_element(code, obs)
         for (i, expected), sign in zip(claim.signs.items(), signs):
             label = errors.labels[i]
             if sign != expected:
                 out.append(f"{claim.name}: sign on {label} is {sign:+d}, expected {expected:+d}")
-            for state in states if states is not None else ():
+            for state in states:
                 lam = verify.eigencheck(element, verify.apply(errors.errors[i], state))
                 if lam == sign:
                     oracle_passed += 1

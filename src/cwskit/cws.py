@@ -59,19 +59,14 @@ class CwsCode:
 
     @cached_property
     def codeword_index(self) -> dict[int, int]:
-        """Codeword row index by its packed bits as a Python integer."""
-        return {_packed_int(w): i for i, w in enumerate(self.codewords)}
+        """Codeword row index by its ``gf2.to_int`` value."""
+        return {gf2.to_int(w): i for i, w in enumerate(self.codewords)}
 
 
 def _frozen(vectors: list[np.ndarray]) -> list[np.ndarray]:
     for v in vectors:
         v.setflags(write=False)
     return vectors
-
-
-def _packed_int(v: np.ndarray) -> int:
-    """A 0/1 vector as the exact Python integer of its packed bits."""
-    return int.from_bytes(np.packbits(v).tobytes(), "big")
 
 
 def build_code(adjacency, codewords) -> CwsCode:
@@ -164,7 +159,7 @@ def detects(code: CwsCode, e: Pauli) -> DetectionResult:
             )
         return DetectionResult(True, word, True, "degenerate-pass")
     index = code.codeword_index
-    key = _packed_int(word)
+    key = gf2.to_int(word)
     for w, i in index.items():  # codewords in row order; build_code keeps them distinct
         hit = index.get(w ^ key)
         if hit is not None:

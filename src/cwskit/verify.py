@@ -6,13 +6,12 @@ permutation, and group-algebra elements are applied term by term.  With
 x, z packed as integers, i^k Z^z X^x takes amplitude k ^ x to k with sign
 (-1)^popcount(k & z), read from a parity table built by doubling and
 cached per n with the index range.  The oracle exists to double-check
-the algebraic modules, so it stays dense and independent of them; a size
-cap keeps it at desk scale.
+the algebraic modules, so it stays dense and independent of them; the
+command line runs it only up to ``ORACLE_CAP`` qubits.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -23,20 +22,10 @@ from .cws import CwsCode
 from .observables import Type4Observable
 from .pauli import Pauli, stabilizer_element
 
-DEFAULT_ORACLE_CAP = 14
-ORACLE_CAP_ENV = "CWS_ORACLE_CAP"
+ORACLE_CAP = 14
 
 NORM_TOL = 1e-12
 EIGEN_TOL = 1e-10
-
-
-class OracleCapExceeded(RuntimeError):
-    """The requested state vector would exceed the configured qubit cap."""
-
-
-def oracle_cap() -> int:
-    value = os.environ.get(ORACLE_CAP_ENV)
-    return int(value) if value else DEFAULT_ORACLE_CAP
 
 
 @lru_cache(maxsize=None)
@@ -51,16 +40,13 @@ def _tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     return idx, parity
 
 
-def graph_state(code: CwsCode, cap: int | None = None) -> np.ndarray:
+def graph_state(code: CwsCode) -> np.ndarray:
     """The unique state fixed by every derived generator.
 
     Uniform superposition; amplitude k has sign -1 when an odd number of
     graph edges lie inside its support, that is when the XOR over vertices
     q in the support of the parity of k on q's later neighbours is 1.
     """
-    limit = oracle_cap() if cap is None else cap
-    if code.n > limit:
-        raise OracleCapExceeded(f"n={code.n} exceeds oracle cap {limit}")
     idx, parity = _tables(code.n)
     odd = np.zeros_like(idx)
     for q, row in enumerate(code.adjacency):
@@ -154,22 +140,11 @@ def is_involution(elem: GroupAlgebraElement, tol: float = NORM_TOL) -> bool:
     return all(abs(s) <= tol for s in cross.values())
 
 
-def eigencheck(
-    op,
-    state: np.ndarray,
-    code: CwsCode | None = None,
-    tol: float = EIGEN_TOL,
-) -> int | None:
+def eigencheck(op, state: np.ndarray, tol: float = EIGEN_TOL) -> int | None:
     """Return +1 or -1 when the state is an eigenvector of op within tol
     (Euclidean norm), else None.  None on a corrupted codeword state means
     the observable would leak encoded information.
-
-    Type4Observable inputs need the owning code to expand.
     """
-    if isinstance(op, Type4Observable):
-        if code is None:
-            raise ValueError("expanding a four-term observable requires the code")
-        op = type4_element(code, op)
     state = np.asarray(state, dtype=np.complex128)
     image = apply(op, state)
     if np.linalg.norm(image - state) <= tol:
@@ -179,9 +154,9 @@ def eigencheck(
     return None
 
 
-def codeword_states(code: CwsCode, cap: int | None = None) -> list[np.ndarray]:
+def codeword_states(code: CwsCode) -> list[np.ndarray]:
     """Basis states of the code: each codeword operator applied to the
     stabilized state."""
-    psi = graph_state(code, cap=cap)
+    psi = graph_state(code)
     zeros = np.zeros(code.n, dtype=np.uint8)
     return [apply(Pauli(x=zeros, z=word), psi) for word in code.codewords]

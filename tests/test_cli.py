@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cwskit import cli, cws
+from cwskit import cli, cws, verify
 from cwskit.cli import main
 from cwskit.observables import build_decoding_plan
 from conftest import CODE_FILE, REPO, TABLE_FILE
@@ -187,10 +187,48 @@ class TestVerify:
     def test_oracle_cap_env_skips_dense_checks(self, tmp_path, capsys, monkeypatch):
         plan_file = tmp_path / "plan.json"
         assert main(["plan", CODE, "--out", str(plan_file)]) == 0
-        monkeypatch.setenv("CWS_ORACLE_CAP", "6")
+        monkeypatch.setattr(verify, "ORACLE_CAP", 6)
         assert main(["verify", CODE, "--plan", str(plan_file)]) == 0
         out = capsys.readouterr().out
         assert "oracle skipped" in out
+
+    @pytest.mark.parametrize("cap", [9, 10])
+    def test_oracle_runs_up_to_the_cap(self, cap, tmp_path, capsys, monkeypatch):
+        """The ring code has n = 10: a cap of 10 checks every claim on the
+        oracle, a cap of 9 skips the oracle and still passes."""
+        plan_file = write_json(tmp_path / "plan.json", shipped("plan"))
+        monkeypatch.setattr(verify, "ORACLE_CAP", cap)
+        capsys.readouterr()
+        assert main(["verify", CODE, "--plan", plan_file]) == 0
+        out = capsys.readouterr().out.splitlines()
+        skipped = "warning: oracle skipped (n=10 exceeds oracle cap 9)"
+        if cap == 10:
+            assert "oracle:      600 passed, 0 failed" in out and skipped not in out
+        else:
+            assert skipped in out and not any(l.startswith("oracle:") for l in out)
+
+    @pytest.mark.parametrize("tamper", ["every_step", "class_0_step"])
+    def test_class_with_no_step_fails(self, tamper, tmp_path, capsys):
+        """A class of two or more errors needs a step or an unresolved entry:
+        dropping every step, or the only step of class 0 ({Y4, Z10}), fails
+        each class left unsplit once."""
+        data = shipped("plan")
+        if tamper == "every_step":
+            for c in data["classes"]:
+                c["steps"] = []
+            data["type4_observables"] = []
+        else:
+            data["classes"][0]["steps"] = []
+        plan_file = write_json(tmp_path / "plan.json", data)
+        capsys.readouterr()
+        assert main(["verify", CODE, "--plan", plan_file]) == 1
+        out = capsys.readouterr().out.splitlines()
+        fails = [l for l in out if l.startswith("FAIL:")]
+        unsplit = range(len(data["classes"])) if tamper == "every_step" else [0]
+        assert [f.split(":")[1].strip() for f in fails] == [f"class {k}" for k in unsplit]
+        if tamper == "class_0_step":
+            assert fails == ["FAIL: class 0: no step or unresolved entry separates {Y4, Z10}"]
+            assert "oracle:      560 passed, 0 failed" in out
 
 
 def unknown_external_label(tmp_path, monkeypatch):
@@ -213,13 +251,6 @@ def qubit_count_as_string(tmp_path, monkeypatch):
     data = json.loads(Path(CODE).read_text())
     data["n"] = "10"
     return ["analyze", write_json(tmp_path / "code.json", data)], "'n' must be an integer"
-
-
-def oracle_cap_not_an_integer(tmp_path, monkeypatch):
-    plan_file = tmp_path / "plan.json"
-    assert main(["plan", CODE, "--out", str(plan_file)]) == 0
-    monkeypatch.setenv("CWS_ORACLE_CAP", "x")
-    return ["verify", CODE, "--plan", str(plan_file)], "CWS_ORACLE_CAP must be an integer"
 
 
 def external_table_without_observables(tmp_path, monkeypatch):
@@ -375,7 +406,6 @@ EDITED_FAULTS = {
     unknown_external_label,
     plan_observable_out_of_range,
     qubit_count_as_string,
-    oracle_cap_not_an_integer,
     external_table_without_observables,
     external_entry_without_name,
     external_class_without_observable,
@@ -438,7 +468,7 @@ def test_mutated_input_exits_with_at_most_one_error_line(kind, data, tmp_path_fa
         doc = data.draw(JSON_VALUES, label="value")
     file = write_json(tmp_path_factory.mktemp("fuzz") / f"{kind}.json", doc)
     err = io.StringIO()
-    with mock.patch.dict(os.environ, {"CWS_ORACLE_CAP": "0"}), \
+    with mock.patch.object(verify, "ORACLE_CAP", 0), \
             contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         rc = main(argv_for(kind, file))
     assert isinstance(rc, int)
