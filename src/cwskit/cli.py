@@ -29,6 +29,8 @@ from .cws import (
     detects,
     errors_from_entries,
     from_dict,
+    json_field,
+    json_list,
     json_sign,
     json_value,
     json_vector,
@@ -201,82 +203,79 @@ def _read_plan(code: CwsCode, fingerprint: str, path: str) -> Claims:
         )
     except ValueError as exc:
         raise CliError(f"invalid plan file {path}: {exc}")
-    if not any(plan.refinements) and not plan.type4_observables:
-        if all(len(c.members) <= 1 for c in plan.classes):
-            print("warning: plan has no refinements to verify (vacuous pass)")
-    claims = [
-        Claim(None, f"class {ci} observable A{step.observable + 1}",
-              plan.type4_observables[step.observable], {i: step.signs[i] for i in step.applies_to})
-        for ci, steps in enumerate(plan.refinements) for step in steps
-    ]
+
+    def named(group) -> str:
+        return f"{{{', '.join(errors.labels[i] for i in sorted(group))}}}"
+
+    # Replay each class's refinement tree: every step splits a group the steps before it left
+    # together, and each group of two or more errors left at the end is one unresolved entry.
+    claims, faults = [], []
+    for ci, (c, steps) in enumerate(zip(plan.classes, plan.refinements)):
+        groups = {frozenset(c.members)}
+        for j, step in enumerate(steps):
+            claims.append(Claim(None, f"class {ci} observable A{step.observable + 1}",
+                                plan.type4_observables[step.observable],
+                                {i: step.signs[i] for i in step.applies_to}))
+            group = frozenset(step.applies_to)
+            halves = {frozenset(i for i in group if step.signs[i] == s) for s in (1, -1)}
+            if group not in groups:
+                faults.append(f"class {ci}: step {j} applies to {named(group)},"
+                              " which is not a group that the steps before it leave together")
+            elif frozenset() in halves:
+                faults.append(f"class {ci}: step {j} gives {named(group)} one sign only")
+            else:
+                groups = (groups - {group}) | halves
+        stuck = [frozenset(u.members) for u in plan.unresolved if u.class_index == ci]
+        faults.extend(f"class {ci}: unresolved entry {named(g)} is not a group of two or more"
+                      " errors that the steps leave together"
+                      for k, g in enumerate(stuck) if len(g) < 2 or g not in groups or g in stuck[:k])
+        faults.extend(f"class {ci}: no step or unresolved entry separates {named(g)}"
+                      for g in sorted(groups, key=sorted) if len(g) > 1 and g not in stuck)
+    if not claims and not plan.type4_observables and all(len(c.members) < 2 for c in plan.classes):
+        print("warning: plan has no refinements to verify (vacuous pass)")
     classes = [(sign_string(c.signs), c.members) for c in plan.classes]
-    unresolved = {u.class_index for u in plan.unresolved}
-    faults = tuple(
-        f"class {ci}: no step or unresolved entry separates "
-        f"{{{', '.join(errors.labels[i] for i in c.members)}}}"
-        for ci, (c, steps) in enumerate(zip(plan.classes, plan.refinements))
-        if len(c.members) > 1 and not steps and ci not in unresolved
-    )
-    return Claims(errors, plan.pauli_observables, classes, claims, faults=faults)
+    return Claims(errors, plan.pauli_observables, classes, claims, faults=tuple(faults))
 
 
 def _read_table(code: CwsCode, file_errors: ErrorSet | None, path: str) -> Claims:
     """Read an external table; its labels name errors of the code file's
     error set, or of the weight-1 set when the code file has none."""
-
-    def invalid(detail: str) -> CliError:
-        return CliError(f"invalid external table {path}: {detail}")
-
     data = _load_json(path)
-    if not isinstance(data, dict) or not isinstance(data.get("observables"), list):
-        raise invalid("needs an 'observables' list")
-    table_classes = data.get("classes", [])
-    if not isinstance(table_classes, list):
-        raise invalid("'classes' must be a list")
     errors = _resolve_errors(code, file_errors, None)
     label_index = {l: i for i, l in enumerate(errors.labels)}
     entries: dict[str, Type4Observable | ValueError] = {}
     layer, classes, claims = None, [], []
     try:
-        for k, entry in enumerate(data["observables"]):
-            if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
-                raise invalid(f"observables[{k}] needs a string 'name'")
+        json_value(data, dict, "")
+        for at, entry in json_list(data, "observables", dict):
+            name = json_field(entry, "name", str, at)
             for key in ("v", "v1", "v2"):
-                json_value(entry.get(key, ""), str, f"observables[{k}].{key}")
+                json_value(entry.get(key, ""), str, f"{at}.{key}")
             try:
                 obs = Type4Observable.from_dict(entry)
             except ValueError as exc:
-                entries[entry["name"]] = exc
+                entries[name] = exc
                 continue
-            _check_lengths(code.n, ((f"observables[{k}].{key}", getattr(obs, key))
-                                    for key in ("v", "v1", "v2")))
-            entries[entry["name"]] = obs
+            _check_lengths(code.n, ((f"{at}.{key}", getattr(obs, key)) for key in ("v", "v1", "v2")))
+            entries[name] = obs
         if "pauli_observables" in data:
-            vectors = json_value(data["pauli_observables"], list, "pauli_observables")
+            vectors = json_field(data, "pauli_observables", list)
             layer = [json_vector(o, f"pauli_observables[{k}]") for k, o in enumerate(vectors)]
             _check_lengths(code.n, ((f"pauli_observables[{k}]", o) for k, o in enumerate(layer)))
-        for k, cls in enumerate(table_classes):
-            if not isinstance(cls, dict):
-                raise invalid(f"classes[{k}] must be an object")
-            for key, kind in (("observable", str), ("syndrome", str), ("signs", dict)):
-                if not isinstance(cls.get(key), kind):
-                    noun = "an object" if kind is dict else "a string"
-                    raise invalid(f"classes[{k}] needs {noun} {key!r}")
-            syndrome, name = cls["syndrome"], cls["observable"]
-            unknown = [l for l in cls["signs"] if l not in label_index]
+        for at, cls in json_list(data, "classes", dict) if "classes" in data else []:
+            name, syndrome, given = (json_field(cls, key, kind, at) for key, kind in
+                                     (("observable", str), ("syndrome", str), ("signs", dict)))
+            unknown = [l for l in given if l not in label_index]
             if unknown:
                 raise ValueError(f"class {syndrome} names unknown error {unknown[0]!r}")
             if name not in entries:
                 raise ValueError(f"class {syndrome} names unknown observable {name!r}")
-            signs = {
-                label_index[l]: json_sign(s, f"classes[{k}].signs.{l}")
-                for l, s in cls["signs"].items()
-            }
+            signs = {label_index[l]: json_sign(s, f"{at}.signs.{l}") for l, s in given.items()}
             classes.append((syndrome, list(signs)))
             if isinstance(entries[name], Type4Observable):
                 claims.append(Claim(name, f"class {syndrome}", entries[name], signs))
     except ValueError as exc:
-        raise invalid(str(exc))
+        raise CliError(f"invalid external table {path}: {exc}")
     return Claims(errors, layer, classes, claims, entries)
 
 
@@ -393,7 +392,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError) as exc:  # ValueError covers every input fault the readers find
+    except (CliError, ValueError, OSError) as exc:  # ValueError: every input fault the readers find
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

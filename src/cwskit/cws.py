@@ -182,7 +182,8 @@ class ErrorSet:
         if len(self.errors) != len(self.labels):
             raise ValueError("errors and labels differ in length")
         if len(set(self.labels)) != len(self.labels):
-            raise ValueError("labels must be unique")
+            repeated = next(l for k, l in enumerate(self.labels) if l in self.labels[:k])
+            raise ValueError(f"labels must be unique, {repeated!r} appears more than once")
         sizes = {e.n for e in self.errors}
         if len(sizes) > 1:
             raise ValueError("errors act on different qubit counts")
@@ -298,6 +299,15 @@ def json_field(d: dict, key: str, kind: type, path: str = ""):
     if key not in d:
         raise ValueError(f"missing field {where!r}")
     return json_value(d[key], kind, where)
+
+
+def json_list(d: dict, key: str, kind: type, path: str = "") -> list[tuple[str, object]]:
+    """The list ``d[key]`` as (JSON path, item) pairs, each item a ``kind``."""
+    at = f"{path}.{key}" if path else key
+    return [
+        (f"{at}[{k}]", json_value(item, kind, f"{at}[{k}]"))
+        for k, item in enumerate(json_field(d, key, list, path))
+    ]
 
 
 def json_sign(value, path: str) -> int:

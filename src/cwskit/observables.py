@@ -32,6 +32,7 @@ from .cws import (
     code_fingerprint,
     detects,
     json_field,
+    json_list,
     json_sign,
     json_value,
     json_vector,
@@ -562,35 +563,27 @@ class DecodingPlan:
         exactly the errors of its ``applies_to``.  The header must agree
         with the body: ``mode`` is one of the two search modes, ``resolved``
         is true exactly when ``unresolved`` is empty, and each unresolved
-        entry names a class and only members of it, no two of which a step
-        of that class separates.
+        entry names a class and only members of it.  ``verify`` checks that
+        the steps and entries form a refinement tree.
         """
-
-        def listed(obj, key, kind, path=""):
-            """obj[key] as (path, item) pairs, each item checked as ``kind``."""
-            at = f"{path}.{key}" if path else key
-            return [
-                (f"{at}[{k}]", json_value(item, kind, f"{at}[{k}]"))
-                for k, item in enumerate(json_field(obj, key, list, path))
-            ]
 
         def members(obj, key, path):
             out = []
-            for at, label in listed(obj, key, str, path):
+            for at, label in json_list(obj, key, str, path):
                 if label not in index:
                     raise ValueError(f"field {at!r} names unknown error {label!r}")
                 out.append(index[label])
             return out
 
         json_value(d, dict, "")
-        errors = listed(d, "errors", dict)
+        errors = json_list(d, "errors", dict)
         labels = [json_field(e, "label", str, at) for at, e in errors]
         index = {label: i for i, label in enumerate(labels)}
         observables = [
-            Type4Observable.from_dict(a, at) for at, a in listed(d, "type4_observables", dict)
+            Type4Observable.from_dict(a, at) for at, a in json_list(d, "type4_observables", dict)
         ]
         classes, refinements = [], []
-        for at, c in listed(d, "classes", dict):
+        for at, c in json_list(d, "classes", dict):
             signs = json_field(c, "signs", str, at)
             if set(signs) - {"+", "-"}:
                 raise ValueError(f"field '{at}.signs' must be a string of + and -, got {signs!r}")
@@ -598,7 +591,7 @@ class DecodingPlan:
                 SyndromeClass(tuple(1 if ch == "+" else -1 for ch in signs), members(c, "members", at))
             )
             steps = []
-            for step_at, s in listed(c, "steps", dict, at):
+            for step_at, s in json_list(c, "steps", dict, at):
                 k = json_field(s, "observable", int, step_at)
                 if not 0 <= k < len(observables):
                     raise ValueError(
@@ -621,7 +614,7 @@ class DecodingPlan:
         if mode not in MODES:
             raise ValueError(f"field 'mode' must be 'corollary' or 'exhaustive', got {mode!r}")
         unresolved = []
-        for at, u in listed(d, "unresolved", dict):
+        for at, u in json_list(d, "unresolved", dict):
             k = json_field(u, "class", int, at)
             if not 0 <= k < len(classes):
                 raise ValueError(
@@ -631,11 +624,6 @@ class DecodingPlan:
             outside = [labels[i] for i in stuck if i not in classes[k].members]
             if outside:
                 raise ValueError(f"field '{at}.members' names {outside[0]!r}, not in class {k}")
-            for j, step in enumerate(refinements[k]):
-                if {step.signs[i] for i in stuck if i in step.signs} == {1, -1}:
-                    raise ValueError(
-                        f"field '{at}.members' holds errors that 'classes[{k}].steps[{j}]' separates"
-                    )
             unresolved.append(UnresolvedSubset(k, stuck, json_field(u, "pairs_searched", int, at)))
         if d.get("resolved") is not (not unresolved):
             raise ValueError("field 'resolved' must be true exactly when 'unresolved' is empty")
@@ -646,7 +634,7 @@ class DecodingPlan:
             error_labels=labels,
             error_paulis=[json_field(e, "pauli", str, at) for at, e in errors],
             pauli_observables=[
-                json_vector(o, at) for at, o in listed(d, "pauli_observables", str)
+                json_vector(o, at) for at, o in json_list(d, "pauli_observables", str)
             ],
             classes=classes,
             type4_observables=observables,

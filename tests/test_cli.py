@@ -231,6 +231,45 @@ class TestVerify:
             assert "oracle:      560 passed, 0 failed" in out
 
 
+    @pytest.mark.parametrize("tamper, fails, passed", [pytest.param(*case, id=case[0]) for case in [
+        ("unresolved_members_split_by_a_step", [
+            "class 0: unresolved entry {Y4, Z10} is not a group of two or more errors"
+            " that the steps leave together"], 600),
+        ("step_on_part_of_its_class", [
+            "class 0: step 0 applies to {Y4}, which is not a group that the steps before it"
+            " leave together",
+            "class 0: no step or unresolved entry separates {Y4, Z10}"], 580),
+        ("step_twice", [
+            "class 0: step 1 applies to {Y4, Z10}, which is not a group that the steps before it"
+            " leave together"], 640),
+        ("step_with_one_sign", [
+            "class 0: step 0 gives {Y4, Z10} one sign only",
+            "class 0: no step or unresolved entry separates {Y4, Z10}",
+            "class 0 observable A1: sign on Z10 is +1, expected -1"], 600),
+    ]])
+    def test_refinement_tree_fault_fails(self, tamper, fails, passed, tmp_path, capsys):
+        """Class 0 of the ring plan is {Y4, Z10}, split by one step.  Each
+        edit below breaks its refinement tree; the oracle still checks
+        every sign the plan states."""
+        data = shipped("plan")
+        step = data["classes"][0]["steps"][0]
+        if tamper == "unresolved_members_split_by_a_step":
+            data.update(resolved=False,
+                        unresolved=[{"class": 0, "members": ["Y4", "Z10"], "pairs_searched": 3}])
+        elif tamper == "step_on_part_of_its_class":
+            step.update(applies_to=["Y4"], signs={"Y4": -1})
+        elif tamper == "step_twice":
+            data["classes"][0]["steps"].append(step)
+        else:
+            step["signs"]["Z10"] = -1
+        plan_file = write_json(tmp_path / "plan.json", data)
+        capsys.readouterr()
+        assert main(["verify", CODE, "--plan", plan_file]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert [l for l in out if l.startswith("FAIL:")] == [f"FAIL: {f}" for f in fails]
+        assert f"oracle:      {passed} passed, 0 failed" in out
+
+
 def unknown_external_label(tmp_path, monkeypatch):
     data = json.loads(Path(TABLE).read_text())
     signs = data["classes"][0]["signs"]
@@ -255,26 +294,44 @@ def qubit_count_as_string(tmp_path, monkeypatch):
 
 def external_table_without_observables(tmp_path, monkeypatch):
     table = write_json(tmp_path / "table.json", {"classes": []})
-    return ["verify", CODE, "--external", table], "needs an 'observables' list"
+    return ["verify", CODE, "--external", table], "missing field 'observables'"
 
 
 def external_entry_without_name(tmp_path, monkeypatch):
     data = json.loads(Path(TABLE).read_text())
     del data["observables"][2]["name"]
     table = write_json(tmp_path / "table.json", data)
-    return ["verify", CODE, "--external", table], "observables[2] needs a string 'name'"
+    return ["verify", CODE, "--external", table], "missing field 'observables[2].name'"
 
 
 def external_class_without_observable(tmp_path, monkeypatch):
     data = json.loads(Path(TABLE).read_text())
     del data["classes"][1]["observable"]
     table = write_json(tmp_path / "table.json", data)
-    return ["verify", CODE, "--external", table], "classes[1] needs a string 'observable'"
+    return ["verify", CODE, "--external", table], "missing field 'classes[1].observable'"
 
 
 def error_entry_not_string_or_object(tmp_path, monkeypatch):
     errors = write_json(tmp_path / "errors.json", {"errors": [5]})
     return ["plan", CODE, "--errors", errors], "error entry 0 must be a Pauli string"
+
+
+def error_label_repeated(tmp_path, monkeypatch):
+    errors = write_json(tmp_path / "errors.json", {"errors": ["ZIIIIIIIII", "XIIIIIIIII", "XIIIIIIIII"]})
+    return ["plan", CODE, "--errors", errors], "labels must be unique, 'XIIIIIIIII' appears more than once"
+
+
+def code_path_is_a_directory(tmp_path, monkeypatch):
+    return ["analyze", str(tmp_path)], f"Is a directory: {str(tmp_path)!r}"
+
+
+def plan_path_is_a_directory(tmp_path, monkeypatch):
+    return ["verify", CODE, "--plan", str(tmp_path)], f"Is a directory: {str(tmp_path)!r}"
+
+
+def plan_out_in_missing_directory(tmp_path, monkeypatch):
+    out = str(tmp_path / "missing" / "plan.json")
+    return ["plan", CODE, "--out", out], f"No such file or directory: {out!r}"
 
 
 @functools.cache
@@ -359,10 +416,6 @@ EDITED_FAULTS = {
     "plan_unresolved_member_outside_class": edited(
         "plan", lambda d: d.update(unresolved=[{"class": 0, "members": ["Y4", "Z5"], "pairs_searched": 3}]),
         "field 'unresolved[0].members' names 'Z5', not in class 0"),
-    "plan_unresolved_members_split_by_a_step": edited(
-        "plan", lambda d: d.update(
-            resolved=False, unresolved=[{"class": 0, "members": ["Y4", "Z10"], "pairs_searched": 3}]),
-        "field 'unresolved[0].members' holds errors that 'classes[0].steps[0]' separates"),
     "plan_pauli_observable_wrong_length": edited(
         "plan", lambda d: d["pauli_observables"].__setitem__(0, "1"),
         "field 'pauli_observables[0]' has length 1, code has n=10"),
@@ -410,6 +463,10 @@ EDITED_FAULTS = {
     external_entry_without_name,
     external_class_without_observable,
     error_entry_not_string_or_object,
+    error_label_repeated,
+    code_path_is_a_directory,
+    plan_path_is_a_directory,
+    plan_out_in_missing_directory,
     *(pytest.param(fault, id=name) for name, fault in EDITED_FAULTS.items()),
 ])
 def test_input_fault_exits_one_with_single_error_line(fault, tmp_path, monkeypatch, capsys):
