@@ -6,7 +6,10 @@ plus conditional four-term refinements), ``verify`` replays a plan or an
 externally supplied observable table through the algebraic checks and the
 exact state-vector oracle.
 
-Exit codes: 0 success, 1 input or contract error, 2 partial plan.
+Exit codes: 0 success, 1 usage, input or contract fault, 2 partial plan.
+Every usage or input fault, from the argument parser or from a reader,
+reaches ``main`` as a ``ValueError`` or ``OSError`` and ends the run with
+one ``error:`` line on stderr; ``--help`` alone exits 0.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -39,7 +43,6 @@ from .observables import (
     MODES,
     DecodingPlan,
     Type4Observable,
-    UndetectableError,
     build_decoding_plan,
     eigenvalues,
     pauli_normalizer_generators,
@@ -49,24 +52,13 @@ from .observables import (
 )
 
 
-class CliError(Exception):
-    """Input problem reported to the user without a traceback."""
-
-
-@dataclass
-class RunReport:
-    command: str
-    code_sha256: str
-    oracle_passed: int = 0
-    oracle_failed: int = 0
-    wall_time_s: float = 0.0
-
-    def print(self) -> None:
-        print(f"command:     {self.command}")
-        print(f"code sha256: {self.code_sha256}")
-        if self.oracle_passed or self.oracle_failed:
-            print(f"oracle:      {self.oracle_passed} passed, {self.oracle_failed} failed")
-        print(f"wall time:   {self.wall_time_s:.3f}s")
+def _report(command: str, code_sha256: str, start: float, passed: int = 0, failed: int = 0) -> None:
+    """The closing lines of every command; the oracle line only when it ran."""
+    print(f"command:     {command}")
+    print(f"code sha256: {code_sha256}")
+    if passed or failed:
+        print(f"oracle:      {passed} passed, {failed} failed")
+    print(f"wall time:   {time.perf_counter() - start:.3f}s")
 
 
 def _load_json(path: str) -> dict:
@@ -74,9 +66,9 @@ def _load_json(path: str) -> dict:
         with open(path) as fh:
             return json.load(fh)
     except FileNotFoundError:
-        raise CliError(f"no such file: {path}")
+        raise ValueError(f"no such file: {path}")
     except json.JSONDecodeError as exc:
-        raise CliError(f"malformed JSON in {path} (line {exc.lineno}, column {exc.colno}): {exc.msg}")
+        raise ValueError(f"malformed JSON in {path} (line {exc.lineno}, column {exc.colno}): {exc.msg}")
 
 
 def _load_code(path: str) -> tuple[CwsCode, ErrorSet | None]:
@@ -84,7 +76,7 @@ def _load_code(path: str) -> tuple[CwsCode, ErrorSet | None]:
     try:
         return from_dict(data)
     except ValueError as exc:
-        raise CliError(f"invalid code file {path}: {exc}")
+        raise ValueError(f"invalid code file {path}: {exc}")
 
 
 def _resolve_errors(code: CwsCode, file_errors: ErrorSet | None, errors_path: str | None) -> ErrorSet:
@@ -94,7 +86,7 @@ def _resolve_errors(code: CwsCode, file_errors: ErrorSet | None, errors_path: st
         try:
             return errors_from_entries(entries, code.n)
         except ValueError as exc:
-            raise CliError(f"invalid error file {errors_path}: {exc}")
+            raise ValueError(f"invalid error file {errors_path}: {exc}")
     if file_errors is not None:
         return file_errors
     return ErrorSet.weight_one(code.n)
@@ -122,7 +114,7 @@ def cmd_analyze(args) -> int:
         if not result:
             undetected += 1
         print(f"  {label:>6}: {mark}{extra}")
-    RunReport("analyze", code_fingerprint(code), wall_time_s=time.perf_counter() - start).print()
+    _report("analyze", code_fingerprint(code), start)
     return 0 if undetected == 0 else 1
 
 
@@ -130,10 +122,7 @@ def cmd_plan(args) -> int:
     start = time.perf_counter()
     code, file_errors = _load_code(args.code)
     errors = _resolve_errors(code, file_errors, args.errors)
-    try:
-        plan = build_decoding_plan(code, errors, mode=args.mode)
-    except UndetectableError as exc:
-        raise CliError(str(exc))
+    plan = build_decoding_plan(code, errors, mode=args.mode)
     print(plan.to_table())
     print()
     plan_json = json.dumps(plan.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -143,7 +132,7 @@ def cmd_plan(args) -> int:
         print(f"plan written to {args.out}")
     else:
         print(plan_json, end="")
-    RunReport("plan", plan.code_sha256, wall_time_s=time.perf_counter() - start).print()
+    _report("plan", plan.code_sha256, start)
     return 0 if plan.complete else 2
 
 
@@ -185,11 +174,14 @@ def _read_plan(code: CwsCode, fingerprint: str, path: str) -> Claims:
     data = _load_json(path)
     try:
         plan = DecodingPlan.from_dict(data)
-        if plan.code_sha256 != fingerprint:
-            raise CliError(
-                f"plan was computed from code {plan.code_sha256[:12]}..., "
-                f"given code is {fingerprint[:12]}...; refusing to verify"
-            )
+    except ValueError as exc:
+        raise ValueError(f"invalid plan file {path}: {exc}")
+    if plan.code_sha256 != fingerprint:
+        raise ValueError(
+            f"plan was computed from code {plan.code_sha256[:12]}..., "
+            f"given code is {fingerprint[:12]}...; refusing to verify"
+        )
+    try:
         if plan.n != code.n:
             raise ValueError(f"field 'n' is {plan.n}, code has n={code.n}")
         _check_lengths(code.n, [
@@ -202,7 +194,7 @@ def _read_plan(code: CwsCode, fingerprint: str, path: str) -> Claims:
             code.n,
         )
     except ValueError as exc:
-        raise CliError(f"invalid plan file {path}: {exc}")
+        raise ValueError(f"invalid plan file {path}: {exc}")
 
     def named(group) -> str:
         return f"{{{', '.join(errors.labels[i] for i in sorted(group))}}}"
@@ -275,17 +267,15 @@ def _read_table(code: CwsCode, file_errors: ErrorSet | None, path: str) -> Claim
             if isinstance(entries[name], Type4Observable):
                 claims.append(Claim(name, f"class {syndrome}", entries[name], signs))
     except ValueError as exc:
-        raise CliError(f"invalid external table {path}: {exc}")
+        raise ValueError(f"invalid external table {path}: {exc}")
     return Claims(errors, layer, classes, claims, entries)
 
 
 def cmd_verify(args) -> int:
     start = time.perf_counter()
     code, file_errors = _load_code(args.code)
-    if bool(args.plan) == bool(args.external):
-        raise CliError("verify needs exactly one of --plan or --external")
     fingerprint = code_fingerprint(code)
-    if args.plan:
+    if args.plan is not None:
         claims = _read_plan(code, fingerprint, args.plan)
     else:
         claims = _read_table(code, file_errors, args.external)
@@ -349,13 +339,25 @@ def cmd_verify(args) -> int:
         failures.extend(m if owner is None else f"{owner}: {m}" for m in messages)
     for line in failures:
         print(f"FAIL: {line}")
-    RunReport("verify", fingerprint, oracle_passed, oracle_failed, time.perf_counter() - start).print()
+    _report("verify", fingerprint, start, oracle_passed, oracle_failed)
     return 0 if not failures else 1
+
+
+def _out_path(path: str) -> str:
+    """``plan --out``, checked as the arguments are parsed, before any search."""
+    if os.path.isdir(path) or not os.access(os.path.dirname(path) or ".", os.W_OK):
+        raise argparse.ArgumentTypeError(f"{path!r} is not a file in a writable directory")
+    return path
+
+
+class _Parser(argparse.ArgumentParser):  # subparsers inherit the class
+    def error(self, message):  # a usage fault reaches main as a ValueError, not as exit 2
+        raise ValueError(message)
 
 
 @functools.cache  # parse_args fills a fresh namespace, so one parser serves every call
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cwskit",
         description="CWS codes: analysis, decoding-plan synthesis, verification",
     )
@@ -377,22 +379,23 @@ def build_parser() -> argparse.ArgumentParser:
         help="ignored: the pair scan is serial; still accepted so that existing"
         " command lines parse, and due to be removed",
     )
-    p_plan.add_argument("--out", help="write the plan JSON here")
+    p_plan.add_argument("--out", type=_out_path, help="write the plan JSON here")
     p_plan.set_defaults(func=cmd_plan)
 
     p_verify = sub.add_parser("verify", help="verify a plan or an external table")
     p_verify.add_argument("code", help="code definition JSON")
-    p_verify.add_argument("--plan", help="plan JSON produced by the plan subcommand")
-    p_verify.add_argument("--external", help="externally supplied observable table JSON")
+    source = p_verify.add_mutually_exclusive_group(required=True)
+    source.add_argument("--plan", help="plan JSON produced by the plan subcommand")
+    source.add_argument("--external", help="externally supplied observable table JSON")
     p_verify.set_defaults(func=cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (CliError, ValueError, OSError) as exc:  # ValueError: every input fault the readers find
+    except (ValueError, OSError) as exc:  # every usage fault and every input fault the readers find
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

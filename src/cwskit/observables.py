@@ -160,12 +160,9 @@ def stabilization_rhs(code: CwsCode, v1, v2) -> np.ndarray:
 
 
 def stabilizes(code: CwsCode, a: Type4Observable) -> bool:
-    """True iff the observable fixes every codeword state, i.e. its sign
-    is +1 and <C_i, v> matches the stabilization right-hand side."""
-    if a.sign != 1:
-        return False
-    rhs = stabilization_rhs(code, a.v1, a.v2)
-    return np.array_equal(gf2.matvec(code.codewords, a.v), rhs)
+    """True iff the observable fixes every codeword state: its eigenvalue
+    on the identity error, whose classical word is zero, is +1."""
+    return bool(eigenvalues(code, np.zeros((1, code.n), dtype=np.uint8), a)[0] == 1)
 
 
 def eigenvalues(code: CwsCode, words: np.ndarray, a: Type4Observable) -> np.ndarray:
@@ -222,30 +219,23 @@ def sign_string(signs: tuple[int, ...]) -> str:
     return "".join("+" if s == 1 else "-" for s in signs)
 
 
-def syndrome_signs(
+def pauli_syndrome_partition(
     code: CwsCode, errors: ErrorSet, observables: list[np.ndarray]
-) -> list[tuple[int, ...]]:
-    """Commutation sign of each error against each S^O, from one product
-    of the classical words with the observable exponents."""
+) -> list[SyndromeClass]:
+    """Group errors by their commutation signs against each S^O, from one
+    product of the classical words with the observable exponents.
+
+    Classes are ordered by sign vector with + before -, members by input
+    index; the identity error always lands in the all-plus class.
+    """
     for o in observables:
         if len(o) != code.n:
             raise ValueError(f"observable length {len(o)} does not match code n={code.n}")
     exps = np.array(observables, dtype=np.uint8).reshape(len(observables), code.n)
     bits = (classical_words(code, errors) @ exps.T) & 1
-    return [tuple(1 - 2 * b for b in row) for row in bits.tolist()]
-
-
-def pauli_syndrome_partition(
-    code: CwsCode, errors: ErrorSet, observables: list[np.ndarray]
-) -> list[SyndromeClass]:
-    """Group errors by their commutation signs against each S^O.
-
-    Classes are ordered by sign vector with + before -, members by input
-    index; the identity error always lands in the all-plus class.
-    """
     buckets: dict[tuple[int, ...], list[int]] = {}
-    for idx, signs in enumerate(syndrome_signs(code, errors, observables)):
-        buckets.setdefault(signs, []).append(idx)
+    for idx, row in enumerate(bits.tolist()):
+        buckets.setdefault(tuple(1 - 2 * b for b in row), []).append(idx)
     ordered = sorted(buckets, key=lambda s: tuple(0 if b == 1 else 1 for b in s))
     return [SyndromeClass(signs, buckets[signs]) for signs in ordered]
 

@@ -3,6 +3,9 @@ import functools
 import io
 import json
 import os
+import re
+import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cwskit import cli, cws, verify
+from cwskit import cli, cws, observables, verify
 from cwskit.cli import main
 from cwskit.observables import build_decoding_plan
 from conftest import CODE_FILE, REPO, TABLE_FILE
@@ -65,6 +68,14 @@ class TestAnalyze:
 
     def test_missing_file(self, capsys):
         assert main(["analyze", "/nonexistent/code.json"]) == 1
+
+    def test_undetected_error_exits_one(self, toy_code_file, tmp_path, capsys):
+        """On the toy code, IZZI maps codeword 0011 onto 0101."""
+        data = json.loads(Path(toy_code_file).read_text())
+        code_file = write_json(tmp_path / "with_errors.json", {**data, "errors": ["IZZI"]})
+        assert main(["analyze", code_file]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert "    IZZI: NOT DETECTED [classical collision: C_2 + 0110 equals C_3]" in out
 
 
 class TestPlan:
@@ -180,9 +191,42 @@ class TestVerify:
         for name in ("A2", "A4", "A5", "A6", "A7"):
             assert f"{name}: v=" in out
 
-    def test_requires_exactly_one_source(self, capsys):
-        assert main(["verify", CODE]) == 1
-        assert main(["verify", CODE, "--plan", "x", "--external", "y"]) == 1
+    def test_invalid_external_entry_fails(self, tmp_path, capsys):
+        """An entry that is no observable is listed INVALID with its reason,
+        and its classes are left out of the oracle's checks."""
+        data = shipped("table")
+        a2 = next(entry for entry in data["observables"] if entry["name"] == "A2")
+        a2["v2"] = a2["v1"]
+        table = write_json(tmp_path / "table.json", data)
+        assert main(["verify", CODE, "--external", table]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert "  A2: INVALID" in out
+        assert "FAIL: A2: invalid observable: v1 and v2 must differ" in out
+        assert "oracle:      440 passed, 0 failed" in out
+
+    @pytest.mark.parametrize("patched", [False, True])
+    def test_oracle_disagreement_fails(self, patched, tmp_path, capsys, monkeypatch):
+        """Every step's signs negated: the algebra alone reports each one, one
+        ``sign on`` line per error.  With the algebra patched to agree with the
+        negated plan, only the oracle is left to catch every claim."""
+        data = shipped("plan")
+        for c in data["classes"]:
+            for step in c["steps"]:
+                step["signs"] = {label: -s for label, s in step["signs"].items()}
+        plan_file = write_json(tmp_path / "plan.json", data)
+        if patched:
+            monkeypatch.setattr(cli, "eigenvalues", lambda *a: -observables.eigenvalues(*a))
+        capsys.readouterr()
+        assert main(["verify", CODE, "--plan", plan_file]) == 1
+        out = capsys.readouterr().out.splitlines()
+        fails = [l for l in out if l.startswith("FAIL:")]
+        if patched:
+            assert "oracle:      0 passed, 600 failed" in out
+            assert len(fails) == 600 and all("oracle eigenvalue" in f for f in fails)
+            assert fails[0] == "FAIL: class 0 observable A1: oracle eigenvalue -1 != +1 on a Y4 state"
+        else:
+            assert "oracle:      600 passed, 0 failed" in out
+            assert len(fails) == 30 and all(": sign on " in f for f in fails)
 
     def test_oracle_cap_env_skips_dense_checks(self, tmp_path, capsys, monkeypatch):
         plan_file = tmp_path / "plan.json"
@@ -331,7 +375,36 @@ def plan_path_is_a_directory(tmp_path, monkeypatch):
 
 def plan_out_in_missing_directory(tmp_path, monkeypatch):
     out = str(tmp_path / "missing" / "plan.json")
-    return ["plan", CODE, "--out", out], f"No such file or directory: {out!r}"
+    return ["plan", CODE, "--out", out], f"argument --out: {out!r} is not a file in a writable directory"
+
+
+def plan_out_is_a_directory(tmp_path, monkeypatch):
+    return ["plan", CODE, "--out", str(tmp_path)], f"argument --out: {str(tmp_path)!r} is not a file"
+
+
+def usage(*argv: str, message: str):
+    """A fault of the command line itself, found by the argument parser."""
+
+    def fault(tmp_path, monkeypatch):
+        return list(argv), message
+
+    return fault
+
+
+USAGE_FAULTS = {
+    "mode_unknown": usage(
+        "plan", CODE, "--mode", "bogus",
+        message="argument --mode: invalid choice: 'bogus' (choose from 'corollary', 'exhaustive')"),
+    "workers_not_integer": usage(
+        "plan", CODE, "--workers", "x", message="argument --workers: invalid int value: 'x'"),
+    "code_missing": usage("plan", message="the following arguments are required: code"),
+    "subcommand_unknown": usage("bogus", message="argument subcommand: invalid choice: 'bogus'"),
+    "verify_plan_and_external": usage(
+        "verify", CODE, "--plan", "x", "--external", "y",
+        message="argument --external: not allowed with argument --plan"),
+    "verify_neither_plan_nor_external": usage(
+        "verify", CODE, message="one of the arguments --plan --external is required"),
+}
 
 
 @functools.cache
@@ -467,15 +540,41 @@ EDITED_FAULTS = {
     code_path_is_a_directory,
     plan_path_is_a_directory,
     plan_out_in_missing_directory,
-    *(pytest.param(fault, id=name) for name, fault in EDITED_FAULTS.items()),
+    plan_out_is_a_directory,
+    *(pytest.param(fault, id=name) for name, fault in {**EDITED_FAULTS, **USAGE_FAULTS}.items()),
 ])
 def test_input_fault_exits_one_with_single_error_line(fault, tmp_path, monkeypatch, capsys):
+    """Nothing reaches stdout: each fault is found before any report begins,
+    and the ``--out`` faults before the search."""
     argv, message = fault(tmp_path, monkeypatch)
     capsys.readouterr()
     assert main(argv) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
-    assert message in err[0]
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert message in lines[0]
+    assert out == ""
+
+
+def readme_commands() -> list[str]:
+    """The ``cwskit`` lines of the sh block under README's "Command line"."""
+    text = (REPO / "README.md").read_text()
+    block = re.search(r"^## Command line\n+```sh\n(.*?)^```", text, re.M | re.S).group(1)
+    return [line for line in block.splitlines() if line.startswith("cwskit ")]
+
+
+@pytest.mark.parametrize("line", readme_commands())
+def test_readme_command_runs(line, tmp_path, monkeypatch, capsys):
+    """Each README command exits 0, except the replay of the published table,
+    which the README explains fails by design."""
+    for name in ("codes", "fixtures"):
+        shutil.copytree(REPO / name, tmp_path / name)
+    monkeypatch.chdir(tmp_path)
+    argv = shlex.split(line)[1:]
+    if "--plan" in argv:  # the plan that the README's plan command writes
+        assert main(["plan", argv[1], "--out", argv[argv.index("--plan") + 1]]) == 0
+    expected = 1 if "fixtures/paper-table2.json" in argv else 0
+    assert main(argv) == expected
 
 
 def test_module_entry_point_runs_without_runtime_warning():
