@@ -28,9 +28,11 @@ class InvalidCodeError(ValueError):
 
 @dataclass
 class CwsCode:
-    """A validated code.  The GF(2) factors of the codeword matrix C below
-    are computed on first use and kept, so a plan eliminates C and C^T once
-    each, and loading a code, as ``verify`` does, builds none of them."""
+    """A validated code.  The codeword matrix C below is factored on first
+    use (``gf2.Factor``), once as ``c_factor`` and once transposed as
+    ``ct_factor``, and the factors are kept: every plan-path solve and
+    kernel is answered from them, so a plan eliminates C and C^T once each,
+    and loading a code, as ``verify`` does, builds neither."""
 
     n: int
     adjacency: np.ndarray
@@ -42,9 +44,19 @@ class CwsCode:
         return int(self.codewords.shape[0])
 
     @cached_property
+    def c_factor(self) -> gf2.Factor:
+        """Factor of C: solves the stabilization system C v = b."""
+        return gf2.Factor(self.codewords)
+
+    @cached_property
+    def ct_factor(self) -> gf2.Factor:
+        """Factor of C^T: solves the syndrome offsets C^T alpha = w."""
+        return gf2.Factor(self.codewords.T)
+
+    @cached_property
     def kernel(self) -> list[np.ndarray]:
         """Canonical basis of ker C (``gf2.kernel_basis``), read-only."""
-        return _frozen(gf2.kernel_basis(self.codewords))
+        return _frozen(self.c_factor.kernel())
 
     @cached_property
     def kernel_echelon(self) -> tuple[np.ndarray, list[int]]:
@@ -55,7 +67,7 @@ class CwsCode:
     @cached_property
     def left_kernel(self) -> list[np.ndarray]:
         """Canonical basis of the y with y C = 0, the kernel of C^T, read-only."""
-        return _frozen(gf2.kernel_basis(self.codewords.T))
+        return _frozen(self.ct_factor.kernel())
 
     @cached_property
     def codeword_index(self) -> dict[int, int]:

@@ -5,6 +5,12 @@ leftmost symbol of the string form "0110..." (qubit 1 in operator
 notation).  Matrices are 2-D.  Lexicographic comparisons treat vectors as
 big-endian integers with position 0 most significant; ``to_int`` realizes
 exactly that order.  All functions are pure and never mutate their inputs.
+
+Linear systems are solved by factor-then-apply: ``Factor`` eliminates a
+matrix m once, recording the row operations T that bring it to reduced
+echelon form, and every right-hand side b is then answered by the product
+T b, so a caller that keeps the factor solves any number of systems with
+one elimination of m.
 """
 
 from __future__ import annotations
@@ -137,7 +143,11 @@ def kernel_basis(m) -> list[np.ndarray]:
     ascending free-column order; the free coordinate is set to 1 and the
     pivot coordinates are back-substituted.
     """
-    r_mat, pivots = rref(m)
+    return _kernel_from_echelon(*rref(m))
+
+
+def _kernel_from_echelon(r_mat: np.ndarray, pivots: list[int]) -> list[np.ndarray]:
+    """``kernel_basis`` of any matrix whose reduced echelon form is given."""
     cols = r_mat.shape[1]
     pivot_set = set(pivots)
     basis = []
@@ -153,6 +163,46 @@ def kernel_basis(m) -> list[np.ndarray]:
     return basis
 
 
+class Factor:
+    """One elimination of a matrix m, kept to solve m x = b for any b.
+
+    ``echelon`` is R = rref(m), ``pivots`` its pivot columns, and ``ops``
+    the row operations T with T m = R: the reduced form of [m | I] with
+    pivots taken among m's columns only, whose first columns are exactly
+    rref(m).  Applying it to a right-hand side costs one product T b.
+    """
+
+    def __init__(self, m):
+        mat = as_matrix(m)
+        rows, cols = mat.shape
+        aug, self.pivots = rref(np.concatenate([mat, np.eye(rows, dtype=np.uint8)], axis=1), cols)
+        self.echelon = aug[:, :cols]
+        self.ops = aug[:, cols:]
+        for arr in (self.echelon, self.ops):
+            arr.setflags(write=False)
+
+    def kernel(self) -> list[np.ndarray]:
+        """``kernel_basis`` of the factored matrix."""
+        return _kernel_from_echelon(self.echelon, self.pivots)
+
+    def solve(self, rhs) -> tuple[np.ndarray, np.ndarray]:
+        """``solve_columns`` of the factored matrix.
+
+        R x = T b: the pivot rows of T b give the canonical particular
+        solution (free variables 0), and the rows past the rank, where R
+        is zero, must vanish for b to be solvable.
+        """
+        b = as_matrix(rhs)
+        rows, cols = self.ops.shape[0], self.echelon.shape[1]
+        if b.shape[0] != rows:
+            raise ValueError(f"matrix has {rows} rows, rhs has {b.shape[0]}")
+        reduced = (self.ops @ b) & 1  # uint8 products wrap mod 256, which keeps parity
+        rank = len(self.pivots)
+        x = np.zeros((cols, b.shape[1]), dtype=np.uint8)
+        x[self.pivots] = reduced[:rank]
+        return x, ~reduced[rank:].any(axis=0)
+
+
 def solve(m, rhs) -> tuple[np.ndarray, list[np.ndarray]] | None:
     """Solve m x = rhs over GF(2).
 
@@ -161,30 +211,23 @@ def solve(m, rhs) -> tuple[np.ndarray, list[np.ndarray]] | None:
     set to 0 under the reduced echelon form; the full solution set is
     particular + span(kernel).
     """
-    x, consistent = solve_columns(m, as_vector(rhs)[:, None])
+    factored = Factor(m)
+    x, consistent = factored.solve(as_vector(rhs)[:, None])
     if not consistent[0]:
         return None
-    return x[:, 0], kernel_basis(m)
+    return x[:, 0], factored.kernel()
 
 
 def solve_columns(m, rhs) -> tuple[np.ndarray, np.ndarray]:
-    """Solve m x = b over GF(2) for every column b of ``rhs`` with one
-    elimination of the augmented matrix [m | rhs].
+    """Solve m x = b over GF(2) for every column b of ``rhs``: factor m
+    once (``Factor``), then apply the factor to all the columns.
 
     Returns (x, consistent).  Column k of x is the canonical particular
     solution for column k of rhs, free variables 0 as in ``solve``, and
     ``consistent[k]`` says whether that column is solvable at all; where
     it is not, column k of x means nothing.
     """
-    mat = as_matrix(m)
-    b = as_matrix(rhs)
-    if b.shape[0] != mat.shape[0]:
-        raise ValueError(f"matrix has {mat.shape[0]} rows, rhs has {b.shape[0]}")
-    cols = mat.shape[1]
-    aug, pivots = rref(np.concatenate([mat, b], axis=1), cols)
-    x = np.zeros((cols, b.shape[1]), dtype=np.uint8)
-    x[pivots] = aug[: len(pivots), cols:]
-    return x, ~aug[len(pivots):, cols:].any(axis=0)
+    return Factor(m).solve(rhs)
 
 
 def minimal_solution(particular, kernel: list[np.ndarray]) -> np.ndarray:

@@ -319,11 +319,13 @@ def search_type4(
 def _syndrome_offsets(code: CwsCode, subset: ErrorSet, words: np.ndarray) -> np.ndarray:
     """Rows alpha_t with C^T alpha_t = w_t + w_0 for t = 1, 2, ...
 
-    The difference of two classical words lies in the row space of C
-    exactly when it is orthogonal to ker C, i.e. when the two errors share
-    their Pauli syndrome; otherwise ValueError names the pair.
+    All of them come from the code's one factor of C^T (``ct_factor``),
+    applied to the columns w_t + w_0.  The difference of two classical
+    words lies in the row space of C exactly when it is orthogonal to
+    ker C, i.e. when the two errors share their Pauli syndrome; otherwise
+    ValueError names the pair.
     """
-    offsets, consistent = gf2.solve_columns(code.codewords.T, (words[1:] ^ words[0]).T)
+    offsets, consistent = code.ct_factor.solve((words[1:] ^ words[0]).T)
     if not consistent.all():
         t = 1 + int(np.flatnonzero(~consistent)[0])
         raise ValueError(
@@ -450,11 +452,14 @@ def _pair_search(
 
 def _solved_observable(code: CwsCode, words: np.ndarray, v1, v2) -> Type4Observable:
     """The observable of (v1, v2) whose v is the smallest solution of the
-    stabilization system shifted by the correction of error 0."""
+    stabilization system shifted by the correction of error 0.  The
+    particular solution comes from the code's one factor of C
+    (``c_factor``), and its coset minimum from the kept echelon form of
+    ker C."""
     img1 = gf2.matvec(code.codewords, v1)
     img2 = gf2.matvec(code.codewords, v2)
     rhs = (img1 | img2) ^ (img2 * gf2.dot(words[0], v1)) ^ (img1 * gf2.dot(words[0], v2))
-    particular, solvable = gf2.solve_columns(code.codewords, rhs[:, None])
+    particular, solvable = code.c_factor.solve(rhs[:, None])
     assert solvable[0]
     return Type4Observable(gf2.coset_minimum(particular[:, 0], code.kernel_echelon), v1, v2)
 
@@ -637,7 +642,7 @@ class DecodingPlan:
         lines = []
         header = " ".join(f"O{k + 1}" for k in range(len(self.pauli_observables)))
         lines.append(f"pauli observables: {header}")
-        for o, vec in zip(range(len(self.pauli_observables)), self.pauli_observables):
+        for o, vec in enumerate(self.pauli_observables):
             lines.append(f"  O{o + 1} = {gf2.format_vector(vec)}")
         for cls, steps in zip(self.classes, self.refinements):
             members = " ".join(self.error_labels[i] for i in cls.members)
@@ -681,6 +686,7 @@ def build_decoding_plan(
     classes = pauli_syndrome_partition(code, errors, pauli_obs)
     words = classical_words(code, errors)
     found: list[Type4Observable] = []
+    tables: list[np.ndarray] = []  # eigenvalues of found[k] on every error
     refinements: list[list[RefinementStep]] = []
     unresolved: list[UnresolvedSubset] = []
     for ci, cls in enumerate(classes):
@@ -688,8 +694,8 @@ def build_decoding_plan(
         queue = deque([cls.members]) if len(cls.members) > 1 else deque()
         while queue:
             members = queue.popleft()
-            for chosen, obs in enumerate(found):
-                signs = eigenvalues(code, words[members], obs)
+            for chosen, table in enumerate(tables):
+                signs = table[members]
                 if set(signs.tolist()) == {1, -1}:
                     break
             else:
@@ -701,8 +707,9 @@ def build_decoding_plan(
                     )
                     continue
                 found.append(obs)
+                tables.append(eigenvalues(code, words, obs))
                 chosen = len(found) - 1
-                signs = eigenvalues(code, words[members], obs)
+                signs = tables[chosen][members]
                 assert set(signs.tolist()) == {1, -1}, "search returned a non-splitting observable"
             signed = dict(zip(members, signs.tolist()))
             steps.append(RefinementStep(chosen, members, signed))

@@ -16,11 +16,14 @@ from . import gf2
 _TOKEN_EXP = {"": 0, "+": 0, "i": 1, "+i": 1, "-": 2, "-i": 3}
 _EXP_TOKEN = {0: "", 1: "i", 2: "-", 3: "-i"}
 _LETTER_ZX = {"I": (0, 0), "X": (0, 1), "Z": (1, 0), "Y": (1, 1)}
-_ZX_LETTER = {zx: letter for letter, zx in _LETTER_ZX.items()}
 # bytes.translate table: letter -> 2 z + x, any other byte -> 4
 _LETTER_CODE = bytearray([4]) * 256
 for _letter, (_z, _x) in _LETTER_ZX.items():
     _LETTER_CODE[ord(_letter)] = 2 * _z + _x
+# and back: 2 z + x -> letter
+_CODE_LETTER = bytes.maketrans(
+    bytes(2 * z + x for z, x in _LETTER_ZX.values()), "".join(_LETTER_ZX).encode("ascii")
+)
 _PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
@@ -79,9 +82,9 @@ class Pauli:
         return _PHASES[self.phase_exp]
 
     def __str__(self) -> str:
-        y_count = int(np.sum(self.z & self.x))
+        y_count = int(np.count_nonzero(self.z & self.x))
         token = _EXP_TOKEN[(self.phase_exp + y_count) % 4]
-        letters = "".join(_ZX_LETTER[(int(zb), int(xb))] for zb, xb in zip(self.z, self.x))
+        letters = (2 * self.z + self.x).tobytes().translate(_CODE_LETTER).decode("ascii")
         return token + letters
 
     def __repr__(self) -> str:

@@ -35,6 +35,22 @@ class TestStringForm:
     def test_matrix_semantics_of_y(self):
         assert np.allclose(pauli_matrix(Pauli.from_string("Y")), matrix_from_string("Y"))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 20), st.integers(0, 3), st.integers(0, 2 ** 32 - 1))
+    def test_matches_per_qubit_literal_form(self, n, phase_exp, seed):
+        rng = np.random.default_rng(seed)
+        p = Pauli(rng.integers(0, 2, n), rng.integers(0, 2, n), phase_exp)
+        assert str(p) == literal_string(p)
+        assert Pauli.from_string(str(p)) == p
+
+
+def literal_string(p):
+    """The string form spelled out qubit by qubit: Y = i X Z adds one i."""
+    letters = {(0, 0): "I", (0, 1): "X", (1, 0): "Z", (1, 1): "Y"}
+    y_count = sum(int(z) & int(x) for z, x in zip(p.z, p.x))
+    token = {0: "", 1: "i", 2: "-", 3: "-i"}[(p.phase_exp + y_count) % 4]
+    return token + "".join(letters[(int(z), int(x))] for z, x in zip(p.z, p.x))
+
 
 class TestMultiply:
     def test_identity_is_neutral(self):

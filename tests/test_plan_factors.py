@@ -1,10 +1,11 @@
 """The plan path's shortcuts against the per-call versions they replaced.
 
-``plan`` factors each code once: the syndrome offsets of a search come
-from one batched elimination, the kernels of the codeword matrix C are
-kept on the code, ``detects`` looks words up among packed codewords, and
-the parity tables of the pair scan are built by XOR doubling.  Each
-shortcut is compared here with the plain computation it stands for,
+``plan`` factors each code once: the codeword matrix C and its transpose
+are each eliminated once (``gf2.Factor``) and every solve and kernel of
+the plan is answered from those factors, ``detects`` looks words up among
+packed codewords, the parity tables of the pair scan are built by XOR
+doubling, and a reuse check reads the found observable's sign table.
+Each shortcut is compared here with the plain computation it stands for,
 which is kept in this file as the reference.
 """
 
@@ -13,16 +14,22 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cwskit import cws, gf2
 from cwskit.cws import DetectionResult, build_code, classicalize, detects
-from cwskit.observables import _parity_table, _syndrome_offsets, build_decoding_plan
+from cwskit.observables import (
+    MODES,
+    _parity_table,
+    _syndrome_offsets,
+    build_decoding_plan,
+    eigenvalues,
+)
 from cwskit.pauli import Pauli
 from conftest import CODE_FILE, random_code
 
-FACTORS = ("kernel", "kernel_echelon", "left_kernel", "codeword_index")
+FACTORS = ("c_factor", "ct_factor", "kernel", "kernel_echelon", "left_kernel", "codeword_index")
 
 
 def reference_solve(mat, b):
@@ -116,7 +123,7 @@ class TestBatchedOffsets:
         if rng.integers(0, 2):  # consistent: every w_t + w_0 in the row space of C
             words = words[0] ^ ((rng.integers(0, 2, (count, k)) @ c_mat) & 1).astype(np.uint8)
         labels = [f"E{t}" for t in range(count)]
-        code = SimpleNamespace(codewords=c_mat, num_codewords=k)
+        code = SimpleNamespace(codewords=c_mat, num_codewords=k, ct_factor=gf2.Factor(c_mat.T))
         want = reference_offsets(c_mat, words, labels)
         if isinstance(want, str):
             with pytest.raises(ValueError, match=f"'E0' and '{want}' have different"):
@@ -140,6 +147,112 @@ class TestBatchedOffsets:
             if want is not None:
                 assert np.array_equal(x[:, k], want)
                 assert np.array_equal(gf2.solve(mat, rhs[:, k])[0], want)
+
+
+class TestFactor:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 10), st.integers(1, 10), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+    @example(1, 1, 2, 0)
+    @example(3, 9, 4, 1)
+    @example(9, 3, 4, 2)
+    def test_solves_like_reference_one_column_at_a_time(self, rows, cols, count, seed):
+        rng = np.random.default_rng(seed)
+        base = random_matrix(rng, rows, cols)
+        for mat in (base, base.T):  # C and C^T, as a code factors both
+            factor = gf2.Factor(mat)
+            r_mat, pivots = gf2.rref(mat)
+            assert np.array_equal(factor.echelon, r_mat) and factor.pivots == pivots
+            assert np.array_equal((factor.ops @ mat) & 1, r_mat)
+            rhs = rng.integers(0, 2, (mat.shape[0], count)).astype(np.uint8)
+            rhs[:, ::2] = (mat @ rng.integers(0, 2, (mat.shape[1], rhs[:, ::2].shape[1]))) & 1
+            for k in range(count):
+                want = reference_solve(mat, rhs[:, k])
+                x, consistent = factor.solve(rhs[:, k : k + 1])
+                assert consistent[0] == (want is not None)
+                if want is not None:
+                    assert np.array_equal(x[:, 0], want)
+            assert np.array_equal(factor.kernel(), gf2.kernel_basis(mat))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 9), st.integers(0, 2 ** 32 - 1))
+    def test_code_kernels_match_kernel_basis(self, n, seed):
+        code = random_code(np.random.default_rng(seed), n, max_words=min(12, 2 ** n))
+        for got, want in (
+            (code.kernel, gf2.kernel_basis(code.codewords)),
+            (code.left_kernel, gf2.kernel_basis(code.codewords.T)),
+        ):
+            assert len(got) == len(want) and all(map(np.array_equal, got, want))
+
+
+class TestEliminationsPerPlan:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_c_and_its_transpose_once_each(self, mode, monkeypatch):
+        code, _ = cws.from_dict(json.loads(CODE_FILE.read_text()))  # no factor built yet
+        pivot_blocks = []
+        rref = gf2.rref
+
+        def counted(m, ncols=None):
+            pivot_blocks.append(np.asarray(m)[:, :ncols])
+            return rref(m, ncols)
+
+        monkeypatch.setattr(gf2, "rref", counted)
+        build_decoding_plan(code, cws.ErrorSet.weight_one(code.n), mode=mode)
+        c_mat = code.codewords
+        assert sum(np.array_equal(b, c_mat) for b in pivot_blocks) == 1
+        assert sum(np.array_equal(b, c_mat.T) for b in pivot_blocks) == 1
+
+
+def splits(signs) -> bool:
+    return set(signs.tolist()) == {1, -1}
+
+
+def assert_reuse_rule(code, errors, plan):
+    """Each step's observable, recomputed from ``eigenvalues`` per group
+    with no sign table: it gives the step's signs, no observable found
+    before it splits the group, and it is fresh only as the next one found."""
+    words = cws.classical_words(code, errors)
+    found = 0  # observables found before the step
+    for steps in plan.refinements:
+        for step in steps:
+            group = step.applies_to
+            signs = eigenvalues(code, words[group], plan.type4_observables[step.observable])
+            assert dict(zip(group, signs.tolist())) == step.signs and splits(signs)
+            earlier = plan.type4_observables[: step.observable]
+            assert not any(splits(eigenvalues(code, words[group], a)) for a in earlier)
+            assert step.observable <= found
+            found += step.observable == found
+    assert found == len(plan.type4_observables)
+
+
+def distinct_word_errors(rng, code, count):
+    """Up to ``count`` random detectable Paulis with distinct nonzero
+    classical words, so that four-term observables can split their classes."""
+    out, seen = [], set()
+    for _ in range(20 * count):
+        e = Pauli(rng.integers(0, 2, code.n), rng.integers(0, 2, code.n))
+        word = classicalize(code, e)
+        if word.any() and word.tobytes() not in seen and detects(code, e):
+            seen.add(word.tobytes())
+            out.append(e)
+            if len(out) == count:
+                break
+    return cws.ErrorSet(out, [f"E{k}" for k in range(len(out))])
+
+
+class TestReuseRule:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(7, 9), st.sampled_from(MODES), st.integers(0, 2 ** 32 - 1))
+    def test_random_codes(self, n, mode, seed):
+        rng = np.random.default_rng(seed)
+        code = random_code(rng, n, max_words=8)
+        errors = distinct_word_errors(rng, code, 32)
+        assert_reuse_rule(code, errors, build_decoding_plan(code, errors, mode=mode))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_ring_code(self, mode, ring_code, ring_errors):
+        plan = build_decoding_plan(ring_code, ring_errors, mode=mode)
+        assert sum(map(len, plan.refinements)) > len(plan.type4_observables)  # some reuse
+        assert_reuse_rule(ring_code, ring_errors, plan)
 
 
 class TestParityTable:
