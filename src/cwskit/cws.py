@@ -32,7 +32,9 @@ class CwsCode:
     use (``gf2.Factor``), once as ``c_factor`` and once transposed as
     ``ct_factor``, and the factors are kept: every plan-path solve and
     kernel is answered from them, so a plan eliminates C and C^T once each,
-    and loading a code, as ``verify`` does, builds neither."""
+    and loading a code, as ``verify`` does, builds neither.  The packed
+    rows of C and M (``codeword_rows``, ``adjacency_rows``) that the plan
+    path works on are likewise built on first use."""
 
     n: int
     adjacency: np.ndarray
@@ -59,10 +61,11 @@ class CwsCode:
         return _frozen(self.c_factor.kernel())
 
     @cached_property
-    def kernel_echelon(self) -> tuple[np.ndarray, list[int]]:
-        """Reduced echelon form of the kernel basis, for ``gf2.coset_minimum``."""
-        basis = np.array(self.kernel, dtype=np.uint8).reshape(len(self.kernel), self.n)
-        return gf2.rref(basis)
+    def kernel_echelon(self) -> tuple[list[int], list[int]]:
+        """Reduced echelon form of ker C as packed rows (``gf2.pack_rows``)
+        and its pivots, for ``gf2.int_coset_minimum``."""
+        rows = self.c_factor.int_kernel()
+        return rows, gf2.eliminate(rows, self.n)
 
     @cached_property
     def left_kernel(self) -> list[np.ndarray]:
@@ -70,9 +73,19 @@ class CwsCode:
         return _frozen(self.ct_factor.kernel())
 
     @cached_property
+    def codeword_rows(self) -> list[int]:
+        """The codewords as packed ints (``gf2.pack_rows``), in row order."""
+        return gf2.pack_rows(self.codewords)
+
+    @cached_property
+    def adjacency_rows(self) -> list[int]:
+        """The rows of M as packed ints (``gf2.pack_rows``)."""
+        return gf2.pack_rows(self.adjacency)
+
+    @cached_property
     def codeword_index(self) -> dict[int, int]:
-        """Codeword row index by its ``gf2.to_int`` value."""
-        return {gf2.to_int(w): i for i, w in enumerate(self.codewords)}
+        """Codeword row index by its packed value."""
+        return {w: i for i, w in enumerate(self.codeword_rows)}
 
 
 def _frozen(vectors: list[np.ndarray]) -> list[np.ndarray]:
@@ -158,27 +171,30 @@ def detects(code: CwsCode, e: Pauli) -> DetectionResult:
     A nonzero classical word must not be a difference of two codewords.
     A zero word means the error is a stabilizer element up to phase; it
     passes only when it commutes with every codeword operator, i.e. acts
-    as the identity on the whole code (flagged "degenerate-pass").
+    as the identity on the whole code (flagged "degenerate-pass").  The
+    word z + M x is formed packed, from the rows of M (M is symmetric).
     """
-    word = classicalize(code, e)
-    if not word.any():
-        overlap = gf2.matvec(code.codewords, e.x)
-        if overlap.any():
-            i = int(np.nonzero(overlap)[0][0])
+    if e.n != code.n:
+        raise ValueError(f"error acts on {e.n} qubits, code has {code.n}")
+    x, z = gf2.pack_rows((e.x, e.z))
+    key = z ^ gf2.int_matvec(code.adjacency_rows, x)
+    word = gf2.unpack_rows([key], code.n)[0]
+    if not key:
+        overlap = gf2.int_matvec(code.codeword_rows, x)  # bit K - 1 - i: C_i against x
+        if overlap:
+            i = code.num_codewords - overlap.bit_length()
             return DetectionResult(
                 False, word, True,
                 f"degenerate error anticommutes with codeword operator C_{i + 1}",
             )
         return DetectionResult(True, word, True, "degenerate-pass")
     index = code.codeword_index
-    key = gf2.to_int(word)
     for w, i in index.items():  # codewords in row order; build_code keeps them distinct
         hit = index.get(w ^ key)
         if hit is not None:
             return DetectionResult(
                 False, word, False,
-                f"classical collision: C_{i + 1} + {gf2.format_vector(word)}"
-                f" equals C_{hit + 1}",
+                f"classical collision: C_{i + 1} + {key:0{code.n}b} equals C_{hit + 1}",
             )
     return DetectionResult(True, word, False, "classically detected")
 

@@ -1,10 +1,23 @@
-"""Dense GF(2) linear algebra on numpy uint8 arrays.
+"""GF(2) linear algebra on packed Python integers and numpy uint8 arrays.
 
 Vectors are 1-D uint8 arrays with entries in {0, 1}; position 0 is the
 leftmost symbol of the string form "0110..." (qubit 1 in operator
 notation).  Matrices are 2-D.  Lexicographic comparisons treat vectors as
 big-endian integers with position 0 most significant; ``to_int`` realizes
-exactly that order.  All functions are pure and never mutate their inputs.
+exactly that order.  All functions are pure and never mutate their inputs,
+except ``eliminate``, which reduces the list of rows it is given.
+
+Packed ints.  A vector of length n is also held as one Python int in the
+``to_int`` order: column c is bit n - 1 - c, so integer order is the
+big-endian order above and adding two vectors is one XOR.  A matrix is a
+list of such ints, one per row (``pack_rows``, ``unpack_rows``).
+``eliminate`` is the one elimination core: ``rref`` and ``Factor`` run it
+on packed rows and unpack once.  ``int_kernel``, ``int_matvec``,
+``int_coset_minimum``, ``int_span`` and ``Factor.solve_int`` take and
+return packed ints; the plan path's four-term search works on them.  The
+array functions (``rref``, ``kernel_basis``, ``solve``, ``coset_minimum``,
+``enumerate_span`` and the rest) keep their numpy form for their callers,
+and numpy still does the batch products of ``Factor.solve``.
 
 Linear systems are solved by factor-then-apply: ``Factor`` eliminates a
 matrix m once, recording the row operations T that bring it to reduced
@@ -92,6 +105,56 @@ def matvec(m, v) -> np.ndarray:
     return (m @ v).astype(np.uint8) & 1
 
 
+def pack_rows(m) -> list[int]:
+    """Rows of a 0/1 matrix as packed ints, each the ``to_int`` of its row."""
+    mat = as_matrix(m)
+    rows, cols = mat.shape
+    nbytes = -(-cols // 8)
+    pad = 8 * nbytes - cols
+    buf = np.packbits(mat, axis=1).tobytes()
+    return [int.from_bytes(buf[k * nbytes : (k + 1) * nbytes], "big") >> pad for k in range(rows)]
+
+
+def unpack_rows(values: list[int], n: int) -> np.ndarray:
+    """The len(values) x n matrix whose rows are the packed ints ``values``."""
+    nbytes = -(-n // 8)
+    pad = 8 * nbytes - n
+    buf = b"".join([(v << pad).to_bytes(nbytes, "big") for v in values])
+    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(values), nbytes)
+    return np.unpackbits(packed, axis=1, count=n)
+
+
+def eliminate(rows: list[int], width: int, ncols: int | None = None) -> list[int]:
+    """Bring packed rows of ``width`` columns to reduced echelon form, in
+    place, and return the pivot columns in ascending order.
+
+    The one elimination core: ``rref``, ``Factor`` and ``int_kernel`` all
+    run it.  Column c is bit width - 1 - c, so a row operation is one XOR.
+    With ``ncols``, pivots are taken among the first ``ncols`` columns
+    only; the other columns are carried along by the row operations.
+    """
+    count = len(rows)
+    pivots: list[int] = []
+    row = 0
+    for col in range(width if ncols is None else ncols):
+        if row == count:
+            break
+        bit = 1 << (width - 1 - col)
+        for pivot in range(row, count):
+            if rows[pivot] & bit:
+                break
+        else:
+            continue
+        rows[row], rows[pivot] = rows[pivot], rows[row]
+        lead = rows[row]
+        for k in range(count):
+            if k != row and rows[k] & bit:
+                rows[k] ^= lead
+        pivots.append(col)
+        row += 1
+    return pivots
+
+
 def rref(m, ncols: int | None = None) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over GF(2).
 
@@ -100,36 +163,13 @@ def rref(m, ncols: int | None = None) -> tuple[np.ndarray, list[int]]:
     transform is idempotent: rref(rref(m)) == rref(m).  With ``ncols``,
     pivots are taken among the first ``ncols`` columns only; the other
     columns, the right-hand sides of an augmented system, are carried
-    along by the row operations.
-
-    Each row is eliminated as one Python integer (column c is bit
-    ``8 * nbytes - 1 - c`` of its big-endian packed bytes), so a row
-    operation is one XOR; the result is unpacked once at the end.
+    along by the row operations.  The rows are eliminated packed
+    (``eliminate``) and unpacked once at the end.
     """
     mat = as_matrix(m)
-    rows, cols = mat.shape
-    nbytes = -(-cols // 8)
-    buf = np.packbits(mat, axis=1).tobytes()
-    packed = [int.from_bytes(buf[k * nbytes : (k + 1) * nbytes], "big") for k in range(rows)]
-    top = 8 * nbytes - 1
-    pivots: list[int] = []
-    row = 0
-    for col in range(cols if ncols is None else ncols):
-        if row == rows:
-            break
-        bit = 1 << (top - col)
-        pivot = next((k for k in range(row, rows) if packed[k] & bit), None)
-        if pivot is None:
-            continue
-        packed[row], packed[pivot] = packed[pivot], packed[row]
-        lead = packed[row]
-        for k in range(rows):
-            if k != row and packed[k] & bit:
-                packed[k] ^= lead
-        pivots.append(col)
-        row += 1
-    out = np.frombuffer(b"".join(r.to_bytes(nbytes, "big") for r in packed), dtype=np.uint8)
-    return np.unpackbits(out.reshape(rows, nbytes), axis=1, count=cols), pivots
+    packed = pack_rows(mat)
+    pivots = eliminate(packed, mat.shape[1], ncols)
+    return unpack_rows(packed, mat.shape[1]), pivots
 
 
 def rank(m) -> int:
@@ -143,24 +183,60 @@ def kernel_basis(m) -> list[np.ndarray]:
     ascending free-column order; the free coordinate is set to 1 and the
     pivot coordinates are back-substituted.
     """
-    return _kernel_from_echelon(*rref(m))
+    mat = as_matrix(m)
+    return list(unpack_rows(int_kernel(pack_rows(mat), mat.shape[1]), mat.shape[1]))
 
 
-def _kernel_from_echelon(r_mat: np.ndarray, pivots: list[int]) -> list[np.ndarray]:
-    """``kernel_basis`` of any matrix whose reduced echelon form is given."""
-    cols = r_mat.shape[1]
+def int_kernel(rows: list[int], width: int) -> list[int]:
+    """``kernel_basis`` of packed rows, as packed ints."""
+    reduced = list(rows)
+    return _echelon_kernel(reduced, eliminate(reduced, width), width)
+
+
+def _echelon_kernel(rows: list[int], pivots: list[int], width: int) -> list[int]:
+    """``int_kernel`` of packed rows already in reduced echelon form."""
     pivot_set = set(pivots)
     basis = []
-    for free in range(cols):
+    for free in range(width):
         if free in pivot_set:
             continue
-        v = np.zeros(cols, dtype=np.uint8)
-        v[free] = 1
-        for row, pc in enumerate(pivots):
-            if r_mat[row, free]:
-                v[pc] = 1
+        bit = 1 << (width - 1 - free)
+        v = bit
+        for row, pc in zip(rows, pivots):
+            if row & bit:
+                v |= 1 << (width - 1 - pc)
         basis.append(v)
     return basis
+
+
+def int_matvec(rows: list[int], v: int) -> int:
+    """m v packed, for the packed rows of m: bit len(rows) - 1 - i is the
+    parity of row i against v."""
+    out = 0
+    for row in rows:
+        out = (out << 1) | ((row & v).bit_count() & 1)
+    return out
+
+
+def int_coset_minimum(x: int, rows: list[int], pivots: list[int], width: int) -> int:
+    """``coset_minimum`` on packed ints, given the packed reduced echelon
+    rows of the matrix and their pivots."""
+    for row, pc in zip(rows, pivots):
+        if x >> (width - 1 - pc) & 1:
+            x ^= row
+    return x
+
+
+def int_span(basis: list[int]) -> list[int]:
+    """All vectors in the span of packed ``basis``, ascending, formed by XOR
+    doubling.  A basis vector shifted left with a tag in its low bits, such
+    as its image under a linear map, carries the same combination of tags
+    through the doubling, since XOR has no carries."""
+    span = [0]
+    for b in basis:
+        span += [v ^ b for v in span]
+    span.sort()
+    return span
 
 
 class Factor:
@@ -169,13 +245,16 @@ class Factor:
     ``echelon`` is R = rref(m), ``pivots`` its pivot columns, and ``ops``
     the row operations T with T m = R: the reduced form of [m | I] with
     pivots taken among m's columns only, whose first columns are exactly
-    rref(m).  Applying it to a right-hand side costs one product T b.
+    rref(m).  Applying it to a right-hand side costs one product T b;
+    ``rows`` keeps [R | T] packed for ``solve_int``.
     """
 
     def __init__(self, m):
         mat = as_matrix(m)
         rows, cols = mat.shape
-        aug, self.pivots = rref(np.concatenate([mat, np.eye(rows, dtype=np.uint8)], axis=1), cols)
+        self.rows = [(r << rows) | (1 << (rows - 1 - k)) for k, r in enumerate(pack_rows(mat))]
+        self.pivots = eliminate(self.rows, cols + rows, cols)
+        aug = unpack_rows(self.rows, cols + rows)
         self.echelon = aug[:, :cols]
         self.ops = aug[:, cols:]
         for arr in (self.echelon, self.ops):
@@ -183,7 +262,12 @@ class Factor:
 
     def kernel(self) -> list[np.ndarray]:
         """``kernel_basis`` of the factored matrix."""
-        return _kernel_from_echelon(self.echelon, self.pivots)
+        return list(unpack_rows(self.int_kernel(), self.echelon.shape[1]))
+
+    def int_kernel(self) -> list[int]:
+        """``kernel`` as packed ints."""
+        echelon = [r >> self.ops.shape[0] for r in self.rows[: len(self.pivots)]]
+        return _echelon_kernel(echelon, self.pivots, self.echelon.shape[1])
 
     def solve(self, rhs) -> tuple[np.ndarray, np.ndarray]:
         """``solve_columns`` of the factored matrix.
@@ -201,6 +285,21 @@ class Factor:
         x = np.zeros((cols, b.shape[1]), dtype=np.uint8)
         x[self.pivots] = reduced[:rank]
         return x, ~reduced[rank:].any(axis=0)
+
+    def solve_int(self, b: int) -> int | None:
+        """``solve`` of one packed right-hand side: the packed canonical
+        particular solution, or None when b is not solvable.  Only the T
+        part of each packed row meets b, so each bit of T b is one parity."""
+        reduced = int_matvec(self.rows, b)
+        rank, count = len(self.pivots), len(self.rows)
+        if reduced & ((1 << (count - rank)) - 1):
+            return None
+        cols = self.echelon.shape[1]
+        x = 0
+        for k, pc in enumerate(self.pivots):
+            if reduced >> (count - 1 - k) & 1:
+                x |= 1 << (cols - 1 - pc)
+        return x
 
 
 def solve(m, rhs) -> tuple[np.ndarray, list[np.ndarray]] | None:
@@ -263,27 +362,10 @@ def in_rowspace(m, v) -> bool:
 
 def enumerate_span(basis: list[np.ndarray], n: int) -> list[np.ndarray]:
     """All vectors in the span of ``basis``, ascending as big-endian integers."""
-    return list(span_rows(basis, n))
-
-
-def span_rows(basis: list[np.ndarray], n: int) -> np.ndarray:
-    """``enumerate_span`` as one matrix, a row per vector.
-
-    Each vector is held as ceil(n / 64) big-endian 64-bit words (position 0
-    is the top bit of word 0), so the span is formed by XOR doubling on
-    integers, sorted natively, and unpacked with one bit shift.
-    """
-    width = max(1, -(-n // 64))
-    packed = np.zeros((len(basis), 8 * width), dtype=np.uint8)
+    packed = []
     if basis:
         mat = as_matrix(np.array(basis))
         if mat.shape[1] != n:
             raise ValueError(f"basis vectors have length {mat.shape[1]}, expected {n}")
-        packed[:, : -(-n // 8)] = np.packbits(mat, axis=1)
-    span = np.zeros((1, width), dtype=np.uint64)
-    for word in packed.view(">u8").astype(np.uint64):
-        span = np.concatenate([span, span ^ word])
-    span = span[np.lexsort(span.T[::-1])]
-    pos = np.arange(n)
-    bits = (span[:, pos // 64] >> (63 - pos % 64).astype(np.uint64)) & np.uint64(1)
-    return bits.astype(np.uint8)
+        packed = pack_rows(mat)
+    return list(unpack_rows(int_span(packed), n))

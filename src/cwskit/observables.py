@@ -298,6 +298,13 @@ def search_type4(
     full order joins two other cosets A and B, min A < min B, and the
     first pair of A x B in that order is (min A, min B).
     ``search_space_size`` still counts the unreduced space, all decided.
+
+    The set-up works on packed ints (``gf2.pack_rows``): the blind space
+    is the part of the code's kernel basis orthogonal to ``fixed``, so no
+    matrix holding C is eliminated per class, and the candidates come
+    with their images C v from one XOR doubling (``gf2.int_span``).
+    Only the offsets alpha_t (one batch solve of ``ct_factor``) and the
+    block scan of ``_pair_search`` use numpy.
     """
     if len(subset) < 2:
         raise ValueError("need at least two errors to split")
@@ -305,15 +312,33 @@ def search_type4(
         raise ValueError(f"unknown mode {mode!r}")
     words = classical_words(code, subset)
     alpha = _syndrome_offsets(code, subset, words)
-    fixed = words if mode == "corollary" else words[1:] ^ words[0]
-    blind = gf2.kernel_basis(np.concatenate([fixed, code.codewords]))
-    _, pivots = gf2.rref(np.array(blind, dtype=np.uint8).reshape(len(blind), code.n))
+    packed = gf2.pack_rows(words)
+    fixed = packed if mode == "corollary" else [w ^ packed[0] for w in packed[1:]]
+    n = code.n
+    kernel, _ = code.kernel_echelon
+    # ker C orthogonal to fixed: the kernel combinations lam with sum_j lam_j <fixed, K_j> = 0
+    combos = gf2.int_kernel([gf2.int_matvec(kernel, f) for f in fixed], len(kernel))
+    blind = [_combine(kernel, lam) for lam in combos]
+    pivots = gf2.eliminate(blind, n)
     # orthogonal to fixed and 0 on every pivot of the blind space
-    zero_on = np.concatenate([fixed, np.eye(code.n, dtype=np.uint8)[pivots]])
-    candidates = gf2.span_rows(gf2.kernel_basis(zero_on), code.n)[1:]  # skip the zero coset
-    if candidates.shape[0] < 2:
+    basis = gf2.int_kernel(fixed + [1 << (n - 1 - p) for p in pivots], n)
+    # each candidate v with its image C v in the low K bits
+    k = code.num_codewords
+    tagged = gf2.int_span([(b << k) | gf2.int_matvec(code.codeword_rows, b) for b in basis])[1:]
+    if len(tagged) < 2:  # the zero coset is skipped
         return None
-    return _pair_search(code, words, alpha, candidates)
+    low = (1 << k) - 1
+    return _pair_search(code, packed[0], alpha, [t >> k for t in tagged], [t & low for t in tagged])
+
+
+def _combine(rows: list[int], lam: int) -> int:
+    """XOR of the rows picked by the packed coefficients lam: row j when
+    bit len(rows) - 1 - j is set."""
+    out = 0
+    for j, row in enumerate(rows):
+        if lam >> (len(rows) - 1 - j) & 1:
+            out ^= row
+    return out
 
 
 def _syndrome_offsets(code: CwsCode, subset: ErrorSet, words: np.ndarray) -> np.ndarray:
@@ -350,6 +375,14 @@ def _pack_rows(bits: np.ndarray) -> np.ndarray:
     return packed.view("<u8")
 
 
+def _pack_ints(values: list[int], bits: int) -> np.ndarray:
+    """Packed ints of ``bits`` bits as rows of little-endian 64-bit words:
+    bit p of a value is bit p % 64 of word p // 64."""
+    nbytes = 8 * max(1, -(-bits // 64))
+    buf = b"".join([v.to_bytes(nbytes, "little") for v in values])
+    return np.frombuffer(buf, dtype="<u8").reshape(len(values), -1)
+
+
 def _parity_table(mat: np.ndarray) -> np.ndarray:
     """Byte tables for the GF(2) map x -> mat x on packed vectors.
 
@@ -377,15 +410,17 @@ def _nonzero(words: np.ndarray) -> np.ndarray:
 
 
 def _pair_search(
-    code: CwsCode, words: np.ndarray, alpha: np.ndarray, candidates: np.ndarray
+    code: CwsCode, word0: int, alpha: np.ndarray, candidates: list[int], images: list[int]
 ) -> Type4Observable | None:
-    """First pair (i, j), i < j, of candidate rows whose four-term element
-    is usable on the subset and splits it, as a solved observable.
+    """First pair (i, j), i < j, of candidates whose four-term element is
+    usable on the subset and splits it, as a solved observable.
 
-    Each candidate is packed once into 64-bit words as its image C v over
-    the K codewords; ``words`` only sets the width of the gap words and
-    solves the hit.  With a[t] the anticommutation bit of S^v and subset
-    error t, f[t] = a[t] + a[0] = <w_t + w_0, v> = <alpha_t, C v>, as
+    Candidates and their images C v over the K codewords come packed
+    (``gf2.pack_rows`` order); each image is copied once into 64-bit words
+    for the block scan, which stays in numpy with its parity tables.
+    ``word0`` is the packed classical word w_0 of error 0, which solves
+    the hit.  With a[t] the anticommutation bit of S^v and subset error t,
+    f[t] = a[t] + a[0] = <w_t + w_0, v> = <alpha_t, C v>, as
     C^T alpha_t = w_t + w_0.
 
     Usability.  The correction of error t shifts the stabilization system
@@ -410,20 +445,20 @@ def _pair_search(
     drops the zero image; the first hit is the same as over every
     candidate.
     """
-    c_mat = code.codewords
-    images = _pack_rows((candidates @ c_mat.T) & 1)
-    errs = words.shape[0]
+    k = code.num_codewords
+    packed = _pack_ints(images, k)
+    errs = alpha.shape[0] + 1
     width = -(-errs // 64)
     # parity bit t < 64 * width is <alpha_t, rhs> (0 for error 0); the bits
     # after them are the left kernel of C
     left = code.left_kernel
-    parity_rows = np.zeros((64 * width + len(left), c_mat.shape[0]), dtype=np.uint8)
+    parity_rows = np.zeros((64 * width + len(left), k), dtype=np.uint8)
     parity_rows[1:errs] = alpha
     if left:
         parity_rows[64 * width:] = left
-    table = _parity_table(parity_rows)
+    table = _parity_table(parity_rows[:, ::-1])  # bit p of a packed image is codeword K - 1 - p
 
-    m = candidates.shape[0]
+    m = len(candidates)
     rows = np.arange(m)
     row_start = rows * m - rows * (rows + 1) // 2  # scan position of (i, i + 1)
     row_stop = np.append(row_start[1:], row_start[-1])
@@ -436,32 +471,38 @@ def _pair_search(
         counts = np.minimum(row_stop[block_rows], stop) - np.maximum(row_start[block_rows], start)
         i = np.repeat(rows[block_rows], counts)
         j = np.arange(start, stop) - row_start[i] + i + 1
-        rhs_bytes = (images.take(i, axis=0) | images.take(j, axis=0)).view(np.uint8)
+        rhs_bytes = (packed.take(i, axis=0) | packed.take(j, axis=0)).view(np.uint8)
         parity = table[0].take(rhs_bytes[:, 0], axis=0)
         for b in range(1, table.shape[0]):
             parity ^= table[b].take(rhs_bytes[:, b], axis=0)
         hits = np.flatnonzero(~_nonzero(parity[:, width:]) & _nonzero(parity[:, :width]))
         if hits.size:
+            first, second = int(i[hits[0]]), int(j[hits[0]])
             return _solved_observable(
-                code, words, candidates[i[hits[0]]], candidates[j[hits[0]]]
+                code, word0, candidates[first], candidates[second], images[first], images[second]
             )
         start, row = stop, last
         size = min(2 * size, _BLOCK_CAP)
     return None
 
 
-def _solved_observable(code: CwsCode, words: np.ndarray, v1, v2) -> Type4Observable:
+def _solved_observable(
+    code: CwsCode, word0: int, v1: int, v2: int, img1: int, img2: int
+) -> Type4Observable:
     """The observable of (v1, v2) whose v is the smallest solution of the
-    stabilization system shifted by the correction of error 0.  The
-    particular solution comes from the code's one factor of C
-    (``c_factor``), and its coset minimum from the kept echelon form of
-    ker C."""
-    img1 = gf2.matvec(code.codewords, v1)
-    img2 = gf2.matvec(code.codewords, v2)
-    rhs = (img1 | img2) ^ (img2 * gf2.dot(words[0], v1)) ^ (img1 * gf2.dot(words[0], v2))
-    particular, solvable = code.c_factor.solve(rhs[:, None])
-    assert solvable[0]
-    return Type4Observable(gf2.coset_minimum(particular[:, 0], code.kernel_echelon), v1, v2)
+    stabilization system shifted by the correction of error 0, all packed:
+    img1 and img2 are C v1 and C v2.  The particular solution comes from
+    the code's one factor of C (``c_factor``), and its coset minimum from
+    the kept echelon form of ker C."""
+    rhs = img1 | img2
+    if (word0 & v1).bit_count() & 1:
+        rhs ^= img2
+    if (word0 & v2).bit_count() & 1:
+        rhs ^= img1
+    particular = code.c_factor.solve_int(rhs)
+    assert particular is not None
+    v = gf2.int_coset_minimum(particular, *code.kernel_echelon, code.n)
+    return Type4Observable(*gf2.unpack_rows([v, v1, v2], code.n))
 
 
 @dataclass

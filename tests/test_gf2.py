@@ -285,3 +285,104 @@ class TestEnumerateSpan:
     def test_rejects_basis_of_other_length(self):
         with pytest.raises(ValueError):
             gf2.enumerate_span([np.ones(4, dtype=np.uint8)], 5)
+
+
+def numpy_kernel(m):
+    """Canonical kernel basis from ``numpy_rref``, built like the earlier
+    array code: one vector per free column, free coordinate 1, pivot
+    coordinates back-substituted."""
+    r_mat, pivots = numpy_rref(m)
+    cols = r_mat.shape[1]
+    basis = []
+    for free in sorted(set(range(cols)) - set(pivots)):
+        v = np.zeros(cols, dtype=np.uint8)
+        v[free] = 1
+        for row, pc in enumerate(pivots):
+            v[pc] = r_mat[row, free]
+        basis.append(v)
+    return basis
+
+
+def wide_matrix(rng, rows, cols):
+    """Random 0/1 matrix, rank-deficient about half the time."""
+    m = (rng.random((rows, cols)) < rng.random()).astype(np.uint8)
+    if rng.integers(0, 2):
+        m[rng.integers(0, rows, rows // 2)] = m[0]
+        m[:, rng.integers(0, cols, cols // 3)] = m[:, 1:2]
+    return m
+
+
+def packed(m):
+    return [gf2.to_int(row) for row in m]
+
+
+class TestPackedInts:
+    """The packed-int helpers of the plan path against array references,
+    past 64 rows and 64 columns, where a single machine word no longer
+    holds a row."""
+
+    SIZES = dict(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(65, 90),
+                 cols=st.integers(65, 140))
+
+    @settings(max_examples=25, deadline=None)
+    @given(**SIZES)
+    def test_kernel_matches_array_reference(self, seed, rows, cols):
+        m = wide_matrix(np.random.default_rng(seed), rows, cols)
+        kernel = gf2.int_kernel(packed(m), cols)
+        assert kernel == packed(numpy_kernel(m))
+        assert kernel == packed(gf2.kernel_basis(m))
+        assert packed(gf2.unpack_rows(kernel, cols)) == kernel
+        assert gf2.pack_rows(m) == packed(m)
+        if kernel:
+            assert not ((m @ gf2.unpack_rows(kernel, cols).T) & 1).any()
+
+    @settings(max_examples=25, deadline=None)
+    @given(**SIZES)
+    def test_coset_minimum_matches_array_reference(self, seed, rows, cols):
+        rng = np.random.default_rng(seed)
+        m = wide_matrix(rng, rows, cols)
+        x = rng.integers(0, 2, cols).astype(np.uint8)
+        reduced = packed(m)
+        pivots = gf2.eliminate(reduced, cols)
+        want = gf2.coset_minimum(x, numpy_rref(m))
+        assert gf2.int_coset_minimum(gf2.to_int(x), reduced, pivots, cols) == gf2.to_int(want)
+
+    @settings(max_examples=25, deadline=None)
+    @given(**SIZES, dim=st.integers(0, 6))
+    def test_span_and_image_doubling_match_array_reference(self, seed, rows, cols, dim):
+        # rows are the K > 64 codewords of C, and the span lives in n = cols > 64 bits
+        rng = np.random.default_rng(seed)
+        c_mat = wide_matrix(rng, rows, cols)
+        basis = [rng.integers(0, 2, cols).astype(np.uint8) for _ in range(dim)]
+        if dim > 1 and rng.integers(0, 2):
+            basis.append(basis[0] ^ basis[1])  # dependent basis: repeats kept
+        every = []
+        for mask in range(2 ** len(basis)):
+            v = np.zeros(cols, dtype=np.uint8)
+            for k, b in enumerate(basis):
+                if mask >> k & 1:
+                    v ^= b
+            every.append(v)
+        every = sorted(every, key=gf2.to_int)
+        c_rows = gf2.pack_rows(c_mat)
+        tagged = gf2.int_span([(b << rows) | gf2.int_matvec(c_rows, b) for b in packed(basis)])
+        assert gf2.int_span(packed(basis)) == packed(every)
+        assert packed(gf2.enumerate_span(basis, cols)) == packed(every)
+        assert [t >> rows for t in tagged] == packed(every)
+        images = (np.array(every).reshape(len(every), cols) @ c_mat.T) & 1
+        assert [t & ((1 << rows) - 1) for t in tagged] == packed(images)
+
+    @settings(max_examples=25, deadline=None)
+    @given(**SIZES)
+    def test_factor_solve_int_matches_batch_solve(self, seed, rows, cols):
+        rng = np.random.default_rng(seed)
+        m = wide_matrix(rng, rows, cols)
+        factor = gf2.Factor(m)
+        rhs = np.stack([(m @ rng.integers(0, 2, cols)) & 1, rng.integers(0, 2, rows)], axis=1)
+        x, consistent = factor.solve(rhs.astype(np.uint8))
+        for k in range(2):
+            got = factor.solve_int(gf2.to_int(rhs[:, k]))
+            assert (got is not None) == bool(consistent[k])
+            if got is not None:
+                assert got == gf2.to_int(x[:, k])
+        assert consistent[0]

@@ -189,17 +189,25 @@ class TestEliminationsPerPlan:
     def test_c_and_its_transpose_once_each(self, mode, monkeypatch):
         code, _ = cws.from_dict(json.loads(CODE_FILE.read_text()))  # no factor built yet
         pivot_blocks = []
-        rref = gf2.rref
+        eliminate = gf2.eliminate
 
-        def counted(m, ncols=None):
-            pivot_blocks.append(np.asarray(m)[:, :ncols])
-            return rref(m, ncols)
+        def counted(rows, width, ncols=None):
+            cols = width if ncols is None else ncols
+            pivot_blocks.append(gf2.unpack_rows([r >> (width - cols) for r in rows], cols))
+            return eliminate(rows, width, ncols)
 
-        monkeypatch.setattr(gf2, "rref", counted)
-        build_decoding_plan(code, cws.ErrorSet.weight_one(code.n), mode=mode)
+        monkeypatch.setattr(gf2, "eliminate", counted)  # the one elimination core
+        plan = build_decoding_plan(code, cws.ErrorSet.weight_one(code.n), mode=mode)
         c_mat = code.codewords
         assert sum(np.array_equal(b, c_mat) for b in pivot_blocks) == 1
         assert sum(np.array_equal(b, c_mat.T) for b in pivot_blocks) == 1
+        # The searches' own eliminations pass through the core too, and none
+        # of them holds every row of C: the per-class blind space comes from
+        # the kept kernel of C, not from eliminating [fixed; C].
+        assert plan.type4_observables and len(pivot_blocks) > 3
+        c_rows = {r.tobytes() for r in c_mat if r.any()}
+        holding_c = [b for b in pivot_blocks if c_rows <= {r.tobytes() for r in b}]
+        assert len(holding_c) == 1 and np.array_equal(holding_c[0], c_mat)
 
 
 def splits(signs) -> bool:
@@ -331,5 +339,6 @@ class TestFactorsOnTheCode:
         left = gf2.kernel_basis(code.codewords.T)
         assert all(map(np.array_equal, code.left_kernel, left)) and len(code.left_kernel) == len(left)
         r_mat, pivots = gf2.rref(np.array(direct))
-        assert np.array_equal(code.kernel_echelon[0], r_mat) and code.kernel_echelon[1] == pivots
+        rows, kernel_pivots = code.kernel_echelon  # packed rows
+        assert np.array_equal(gf2.unpack_rows(rows, code.n), r_mat) and kernel_pivots == pivots
         assert not code.kernel[0].flags.writeable
