@@ -282,6 +282,12 @@ def cmd_verify(args) -> int:
     errors = claims.errors
     failures: list[str] = []
     if claims.layer is not None:
+        # a layer element S^O must commute with every codeword operator Z^(C_i): C O = 0
+        for k, o in enumerate(claims.layer):
+            disturbed = np.flatnonzero(gf2.matvec(code.codewords, o))
+            if disturbed.size:
+                failures.append(f"pauli_observables[{k}] anticommutes with codeword operator"
+                                f" C_{disturbed[0] + 1}")
         partition = {
             sign_string(cls.signs): sorted(errors.labels[i] for i in cls.members)
             for cls in pauli_syndrome_partition(code, errors, claims.layer)

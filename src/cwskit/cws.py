@@ -68,9 +68,10 @@ class CwsCode:
         return rows, gf2.eliminate(rows, self.n)
 
     @cached_property
-    def left_kernel(self) -> list[np.ndarray]:
-        """Canonical basis of the y with y C = 0, the kernel of C^T, read-only."""
-        return _frozen(self.ct_factor.kernel())
+    def left_kernel(self) -> list[int]:
+        """Canonical basis of the y with y C = 0, the kernel of C^T, as
+        packed ints of K bits (``gf2.pack_rows``)."""
+        return self.ct_factor.int_kernel()
 
     @cached_property
     def codeword_rows(self) -> list[int]:

@@ -12,12 +12,12 @@ Packed ints.  A vector of length n is also held as one Python int in the
 big-endian order above and adding two vectors is one XOR.  A matrix is a
 list of such ints, one per row (``pack_rows``, ``unpack_rows``).
 ``eliminate`` is the one elimination core: ``rref`` and ``Factor`` run it
-on packed rows and unpack once.  ``int_kernel``, ``int_matvec``,
-``int_coset_minimum``, ``int_span`` and ``Factor.solve_int`` take and
-return packed ints; the plan path's four-term search works on them.  The
-array functions (``rref``, ``kernel_basis``, ``solve``, ``coset_minimum``,
-``enumerate_span`` and the rest) keep their numpy form for their callers,
-and numpy still does the batch products of ``Factor.solve``.
+on packed rows.  ``int_kernel``, ``int_matvec``, ``int_coset_minimum``,
+``int_span`` and ``Factor.solve_int`` take and return packed ints, and the
+plan path's four-term search, pair scan included, works on them alone.
+The array functions (``rref``, ``kernel_basis``, ``solve``,
+``coset_minimum``, ``enumerate_span`` and the rest) keep their numpy form
+for their callers.
 
 Linear systems are solved by factor-then-apply: ``Factor`` eliminates a
 matrix m once, recording the row operations T that bring it to reduced
@@ -242,63 +242,43 @@ def int_span(basis: list[int]) -> list[int]:
 class Factor:
     """One elimination of a matrix m, kept to solve m x = b for any b.
 
-    ``echelon`` is R = rref(m), ``pivots`` its pivot columns, and ``ops``
-    the row operations T with T m = R: the reduced form of [m | I] with
-    pivots taken among m's columns only, whose first columns are exactly
-    rref(m).  Applying it to a right-hand side costs one product T b;
-    ``rows`` keeps [R | T] packed for ``solve_int``.
+    ``rows`` is the reduced form of [m | I], packed, with pivots taken
+    among m's columns only: [R | T] with R = rref(m), ``pivots`` its pivot
+    columns, and T the row operations with T m = R.  Applying it to a
+    right-hand side costs one product T b (``solve_int``).
     """
 
     def __init__(self, m):
         mat = as_matrix(m)
-        rows, cols = mat.shape
-        self.rows = [(r << rows) | (1 << (rows - 1 - k)) for k, r in enumerate(pack_rows(mat))]
-        self.pivots = eliminate(self.rows, cols + rows, cols)
-        aug = unpack_rows(self.rows, cols + rows)
-        self.echelon = aug[:, :cols]
-        self.ops = aug[:, cols:]
-        for arr in (self.echelon, self.ops):
-            arr.setflags(write=False)
+        count, width = self.count, self.width = mat.shape
+        self.rows = [(r << count) | (1 << (count - 1 - k)) for k, r in enumerate(pack_rows(mat))]
+        self.pivots = eliminate(self.rows, width + count, width)
 
     def kernel(self) -> list[np.ndarray]:
         """``kernel_basis`` of the factored matrix."""
-        return list(unpack_rows(self.int_kernel(), self.echelon.shape[1]))
+        return list(unpack_rows(self.int_kernel(), self.width))
 
     def int_kernel(self) -> list[int]:
         """``kernel`` as packed ints."""
-        echelon = [r >> self.ops.shape[0] for r in self.rows[: len(self.pivots)]]
-        return _echelon_kernel(echelon, self.pivots, self.echelon.shape[1])
-
-    def solve(self, rhs) -> tuple[np.ndarray, np.ndarray]:
-        """``solve_columns`` of the factored matrix.
-
-        R x = T b: the pivot rows of T b give the canonical particular
-        solution (free variables 0), and the rows past the rank, where R
-        is zero, must vanish for b to be solvable.
-        """
-        b = as_matrix(rhs)
-        rows, cols = self.ops.shape[0], self.echelon.shape[1]
-        if b.shape[0] != rows:
-            raise ValueError(f"matrix has {rows} rows, rhs has {b.shape[0]}")
-        reduced = (self.ops @ b) & 1  # uint8 products wrap mod 256, which keeps parity
-        rank = len(self.pivots)
-        x = np.zeros((cols, b.shape[1]), dtype=np.uint8)
-        x[self.pivots] = reduced[:rank]
-        return x, ~reduced[rank:].any(axis=0)
+        echelon = [r >> self.count for r in self.rows[: len(self.pivots)]]
+        return _echelon_kernel(echelon, self.pivots, self.width)
 
     def solve_int(self, b: int) -> int | None:
-        """``solve`` of one packed right-hand side: the packed canonical
-        particular solution, or None when b is not solvable.  Only the T
-        part of each packed row meets b, so each bit of T b is one parity."""
+        """The packed canonical particular solution of m x = b (free
+        variables 0) for packed b, or None when b is not solvable.
+
+        R x = T b: only the T part of each packed row meets b, so each bit
+        of T b is one parity.  The pivot rows of T b give the solution, and
+        the rows past the rank, where R is zero, must vanish.
+        """
         reduced = int_matvec(self.rows, b)
-        rank, count = len(self.pivots), len(self.rows)
-        if reduced & ((1 << (count - rank)) - 1):
+        rank = len(self.pivots)
+        if reduced & ((1 << (self.count - rank)) - 1):
             return None
-        cols = self.echelon.shape[1]
         x = 0
         for k, pc in enumerate(self.pivots):
-            if reduced >> (count - 1 - k) & 1:
-                x |= 1 << (cols - 1 - pc)
+            if reduced >> (self.count - 1 - k) & 1:
+                x |= 1 << (self.width - 1 - pc)
         return x
 
 
@@ -311,22 +291,13 @@ def solve(m, rhs) -> tuple[np.ndarray, list[np.ndarray]] | None:
     particular + span(kernel).
     """
     factored = Factor(m)
-    x, consistent = factored.solve(as_vector(rhs)[:, None])
-    if not consistent[0]:
+    b = as_vector(rhs)
+    if b.shape[0] != factored.count:
+        raise ValueError(f"matrix has {factored.count} rows, rhs has {b.shape[0]}")
+    x = factored.solve_int(to_int(b))
+    if x is None:
         return None
-    return x[:, 0], factored.kernel()
-
-
-def solve_columns(m, rhs) -> tuple[np.ndarray, np.ndarray]:
-    """Solve m x = b over GF(2) for every column b of ``rhs``: factor m
-    once (``Factor``), then apply the factor to all the columns.
-
-    Returns (x, consistent).  Column k of x is the canonical particular
-    solution for column k of rhs, free variables 0 as in ``solve``, and
-    ``consistent[k]`` says whether that column is solvable at all; where
-    it is not, column k of x means nothing.
-    """
-    return Factor(m).solve(rhs)
+    return from_int(x, factored.width), factored.kernel()
 
 
 def minimal_solution(particular, kernel: list[np.ndarray]) -> np.ndarray:

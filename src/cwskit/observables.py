@@ -299,20 +299,18 @@ def search_type4(
     first pair of A x B in that order is (min A, min B).
     ``search_space_size`` still counts the unreduced space, all decided.
 
-    The set-up works on packed ints (``gf2.pack_rows``): the blind space
-    is the part of the code's kernel basis orthogonal to ``fixed``, so no
-    matrix holding C is eliminated per class, and the candidates come
-    with their images C v from one XOR doubling (``gf2.int_span``).
-    Only the offsets alpha_t (one batch solve of ``ct_factor``) and the
-    block scan of ``_pair_search`` use numpy.
+    The whole search works on packed ints (``gf2.pack_rows``): the blind
+    space is the part of the code's kernel basis orthogonal to ``fixed``,
+    so no matrix holding C is eliminated per class, and the scan takes
+    the basis of the coset minima in reduced echelon form, whose
+    combinations it visits in ascending order (``_pair_search``).
     """
     if len(subset) < 2:
         raise ValueError("need at least two errors to split")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    words = classical_words(code, subset)
-    alpha = _syndrome_offsets(code, subset, words)
-    packed = gf2.pack_rows(words)
+    packed = gf2.pack_rows(classical_words(code, subset))
+    alpha = _syndrome_offsets(code, subset, packed)
     fixed = packed if mode == "corollary" else [w ^ packed[0] for w in packed[1:]]
     n = code.n
     kernel, _ = code.kernel_echelon
@@ -322,13 +320,10 @@ def search_type4(
     pivots = gf2.eliminate(blind, n)
     # orthogonal to fixed and 0 on every pivot of the blind space
     basis = gf2.int_kernel(fixed + [1 << (n - 1 - p) for p in pivots], n)
-    # each candidate v with its image C v in the low K bits
-    k = code.num_codewords
-    tagged = gf2.int_span([(b << k) | gf2.int_matvec(code.codeword_rows, b) for b in basis])[1:]
-    if len(tagged) < 2:  # the zero coset is skipped
+    if len(basis) < 2:  # no pair without the zero coset
         return None
-    low = (1 << k) - 1
-    return _pair_search(code, packed[0], alpha, [t >> k for t in tagged], [t & low for t in tagged])
+    gf2.eliminate(basis, n)
+    return _pair_search(code, packed[0], alpha, basis)
 
 
 def _combine(rows: list[int], lam: int) -> int:
@@ -341,84 +336,37 @@ def _combine(rows: list[int], lam: int) -> int:
     return out
 
 
-def _syndrome_offsets(code: CwsCode, subset: ErrorSet, words: np.ndarray) -> np.ndarray:
-    """Rows alpha_t with C^T alpha_t = w_t + w_0 for t = 1, 2, ...
+def _syndrome_offsets(code: CwsCode, subset: ErrorSet, words: list[int]) -> list[int]:
+    """Packed rows alpha_t with C^T alpha_t = w_t + w_0 for t = 1, 2, ...,
+    given the packed classical words w_t.
 
-    All of them come from the code's one factor of C^T (``ct_factor``),
-    applied to the columns w_t + w_0.  The difference of two classical
-    words lies in the row space of C exactly when it is orthogonal to
-    ker C, i.e. when the two errors share their Pauli syndrome; otherwise
-    ValueError names the pair.
+    Each comes from the code's one factor of C^T (``ct_factor``).  The
+    difference of two classical words lies in the row space of C exactly
+    when it is orthogonal to ker C, i.e. when the two errors share their
+    Pauli syndrome; otherwise ValueError names the pair.
     """
-    offsets, consistent = code.ct_factor.solve((words[1:] ^ words[0]).T)
-    if not consistent.all():
-        t = 1 + int(np.flatnonzero(~consistent)[0])
-        raise ValueError(
-            f"errors {subset.labels[0]!r} and {subset.labels[t]!r} have different"
-            " Pauli syndromes; search within one syndrome class"
-        )
-    return offsets.T
-
-
-# Pairs per scan block.  Blocks start at one row of the pair triangle and
-# double up to this cap, so an early hit stays cheap and the per-block
-# temporaries stay at a few hundred kilobytes however large the scan.
-_BLOCK_CAP = 4096
-
-
-def _pack_rows(bits: np.ndarray) -> np.ndarray:
-    """Rows of a 0/1 matrix as little-endian 64-bit words: bit t of a row is
-    bit t % 64 of word t // 64, with zero padding after the last column."""
-    rows, cols = bits.shape
-    packed = np.zeros((rows, 8 * max(1, -(-cols // 64))), dtype=np.uint8)
-    packed[:, : -(-cols // 8)] = np.packbits(bits, axis=1, bitorder="little")
-    return packed.view("<u8")
-
-
-def _pack_ints(values: list[int], bits: int) -> np.ndarray:
-    """Packed ints of ``bits`` bits as rows of little-endian 64-bit words:
-    bit p of a value is bit p % 64 of word p // 64."""
-    nbytes = 8 * max(1, -(-bits // 64))
-    buf = b"".join([v.to_bytes(nbytes, "little") for v in values])
-    return np.frombuffer(buf, dtype="<u8").reshape(len(values), -1)
-
-
-def _parity_table(mat: np.ndarray) -> np.ndarray:
-    """Byte tables for the GF(2) map x -> mat x on packed vectors.
-
-    ``table[b, y]`` holds the packed parities of the rows of ``mat`` against
-    a vector whose only nonzero byte is byte b with value y, so the packed
-    ``mat x`` is the XOR over b of ``table[b, byte b of x]``.
-    """
-    rows, cols = mat.shape
-    nbytes = -(-cols // 8)
-    padded = np.zeros((nbytes * 8, rows), dtype=np.uint8)
-    padded[:cols] = mat.T
-    columns = _pack_rows(padded).reshape(nbytes, 8, -1)  # packed column 8 b + k of mat
-    table = np.zeros((nbytes, 256, columns.shape[2]), dtype=columns.dtype)
-    for k in range(8):  # values with top bit k: the values below 2^k plus column 8 b + k
-        table[:, 1 << k : 2 << k] = table[:, : 1 << k] ^ columns[:, k : k + 1]
-    return table
-
-
-def _nonzero(words: np.ndarray) -> np.ndarray:
-    """Per row of packed words: whether any bit is set."""
-    acc = words[:, 0]
-    for k in range(1, words.shape[1]):
-        acc = acc | words[:, k]
-    return acc != 0
+    offsets = []
+    for t, w in enumerate(words[1:], 1):
+        alpha = code.ct_factor.solve_int(w ^ words[0])
+        if alpha is None:
+            raise ValueError(
+                f"errors {subset.labels[0]!r} and {subset.labels[t]!r} have different"
+                " Pauli syndromes; search within one syndrome class"
+            )
+        offsets.append(alpha)
+    return offsets
 
 
 def _pair_search(
-    code: CwsCode, word0: int, alpha: np.ndarray, candidates: list[int], images: list[int]
+    code: CwsCode, word0: int, alpha: list[int], basis: list[int]
 ) -> Type4Observable | None:
-    """First pair (i, j), i < j, of candidates whose four-term element is
-    usable on the subset and splits it, as a solved observable.
+    """First pair (i, j), 0 < i < j, of candidates whose four-term element
+    is usable on the subset and splits it, as a solved observable.
 
-    Candidates and their images C v over the K codewords come packed
-    (``gf2.pack_rows`` order); each image is copied once into 64-bit words
-    for the block scan, which stays in numpy with its parity tables.
-    ``word0`` is the packed classical word w_0 of error 0, which solves
+    ``basis`` spans the candidates, packed and in reduced echelon form as
+    ``gf2.eliminate`` leaves it; candidate t is ``_combine(basis, t)``.
+    ``alpha`` holds the packed offsets alpha_t of ``_syndrome_offsets``,
+    and ``word0`` the packed classical word w_0 of error 0, which solves
     the hit.  With a[t] the anticommutation bit of S^v and subset error t,
     f[t] = a[t] + a[0] = <w_t + w_0, v> = <alpha_t, C v>, as
     C^T alpha_t = w_t + w_0.
@@ -438,52 +386,71 @@ def _pair_search(
     commutation gap of S^v between errors t and 0 is <alpha_t, C v> for
     every solution v, and neither <alpha_t, C u> = <w_t + w_0, u> nor the
     correction bits add to it.  So the system is solvable when the left
-    kernel of C annihilates C v_i | C v_j, and error t's sign differs from
-    error 0's when <alpha_t, C v_i | C v_j> = 1.  Both parities come from
-    byte tables.  A pair of equal images has gaps <alpha_t, C v_i> = 0, so
-    ``search_type4`` passes one candidate per image, the smallest, and
-    drops the zero image; the first hit is the same as over every
-    candidate.
+    kernel L of C annihilates C v_i | C v_j, and error t's sign differs
+    from error 0's when <alpha_t, C v_i | C v_j> = 1.
+
+    The hit test reduces to the AND of two images.  Every scanned
+    candidate has <alpha_t, C v> = <w_t + w_0, v> = 0, and every image
+    y = C v lies in Im C, which L annihilates.  Since
+    y_i | y_j = y_i ^ y_j ^ (y_i & y_j), a pair hits exactly when
+    L (y_i & y_j) = 0 and A (y_i & y_j) != 0, for A the rows alpha_t.  Any
+    basis of the rows of A decides the second test alike, so A is reduced
+    to one.
+
+    The scan order needs no candidate list and no sort.  Taken in
+    ascending-lead order, b_0, b_1, ... = reversed(basis), each basis row
+    holds its lead bit alone, so the combination of the b_k for the set
+    bits k of t is ascending in t: where two indices first differ, from
+    the top, the row of that bit decides the comparison by its lead.  So
+    candidate t is the t-th smallest of the span, the order of
+    ``search_type4``, and the columns cols[c] of the images, bit t of
+    cols[c] being bit c of y_t = C v_t, build by doubling in K d
+    operations for the d rows of the basis.  Index 0 is the zero coset,
+    which never takes part in a hit (``search_type4``).
+
+    For row i, bit j of parity(row & y_i & y_j) is, for every j at once,
+    the XOR of cols[c] over the bits c of row & y_i.  With good the OR of
+    these masks over the rows of A and bad their OR over the rows of L,
+    the first set bit above i of good & ~bad is the hit; the rows of L are
+    taken off one at a time, until no bit is left.
     """
     k = code.num_codewords
-    packed = _pack_ints(images, k)
-    errs = alpha.shape[0] + 1
-    width = -(-errs // 64)
-    # parity bit t < 64 * width is <alpha_t, rhs> (0 for error 0); the bits
-    # after them are the left kernel of C
-    left = code.left_kernel
-    parity_rows = np.zeros((64 * width + len(left), k), dtype=np.uint8)
-    parity_rows[1:errs] = alpha
-    if left:
-        parity_rows[64 * width:] = left
-    table = _parity_table(parity_rows[:, ::-1])  # bit p of a packed image is codeword K - 1 - p
-
-    m = len(candidates)
-    rows = np.arange(m)
-    row_start = rows * m - rows * (rows + 1) // 2  # scan position of (i, i + 1)
-    row_stop = np.append(row_start[1:], row_start[-1])
-    total = m * (m - 1) // 2
-    start, size, row = 0, min(m - 1, _BLOCK_CAP), 0
-    while start < total:
-        stop = min(total, start + size)
-        last = row + int(np.searchsorted(row_start[row:], stop)) - 1
-        block_rows = slice(row, last + 1)
-        counts = np.minimum(row_stop[block_rows], stop) - np.maximum(row_start[block_rows], start)
-        i = np.repeat(rows[block_rows], counts)
-        j = np.arange(start, stop) - row_start[i] + i + 1
-        rhs_bytes = (packed.take(i, axis=0) | packed.take(j, axis=0)).view(np.uint8)
-        parity = table[0].take(rhs_bytes[:, 0], axis=0)
-        for b in range(1, table.shape[0]):
-            parity ^= table[b].take(rhs_bytes[:, b], axis=0)
-        hits = np.flatnonzero(~_nonzero(parity[:, width:]) & _nonzero(parity[:, :width]))
-        if hits.size:
-            first, second = int(i[hits[0]]), int(j[hits[0]])
+    images, cols = [0], [0] * k
+    for b in reversed(basis):
+        image, size = gf2.int_matvec(code.codeword_rows, b), len(images)
+        images += [y ^ image for y in images]
+        upper = ((1 << size) - 1) << size  # the new indices, whose combinations take b
+        for c in range(k):
+            cols[c] |= cols[c] << size
+            if image >> c & 1:
+                cols[c] ^= upper
+    alpha = alpha[: len(gf2.eliminate(alpha, k))]  # reduced in place: a basis of the rows of A
+    for i in range(1, len(images) - 1):
+        y = images[i]
+        hits = 0
+        for row in alpha:
+            hits |= _select_xor(cols, row & y)
+        hits >>= i + 1
+        for row in code.left_kernel:
+            if not hits:
+                break
+            hits &= ~(_select_xor(cols, row & y) >> (i + 1))
+        if hits:
+            j = i + (hits & -hits).bit_length()
             return _solved_observable(
-                code, word0, candidates[first], candidates[second], images[first], images[second]
+                code, word0, _combine(basis, i), _combine(basis, j), y, images[j]
             )
-        start, row = stop, last
-        size = min(2 * size, _BLOCK_CAP)
     return None
+
+
+def _select_xor(values: list[int], mask: int) -> int:
+    """XOR of values[c] over the set bits c of mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out ^= values[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 def _solved_observable(

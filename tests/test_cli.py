@@ -251,6 +251,33 @@ class TestVerify:
         else:
             assert skipped in out and not any(l.startswith("oracle:") for l in out)
 
+    def test_layer_disturbing_the_code_fails_plan(self, tmp_path, capsys):
+        """A layer vector u orthogonal to every error's classical word leaves
+        the partition as it was, so only C u != 0 shows that S^u disturbs the
+        code: S^u anticommutes with the codeword operator Z^(C_3)."""
+        errors = write_json(tmp_path / "errors.json", ["XIIIIIIIII", "ZIIIIIIIII", "IXIIIIIIII"])
+        plan_file = tmp_path / "plan.json"
+        assert main(["plan", CODE, "--errors", errors, "--out", str(plan_file)]) == 0
+        data = json.loads(plan_file.read_text())
+        o = data["pauli_observables"][0]
+        data["pauli_observables"][0] = o[:-1] + ("1" if o[-1] == "0" else "0")
+        tampered = write_json(tmp_path / "tampered.json", data)
+        capsys.readouterr()
+        assert main(["verify", CODE, "--plan", tampered]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert [l for l in out if l.startswith("FAIL:")] == [
+            "FAIL: pauli_observables[0] anticommutes with codeword operator C_3"
+        ]
+
+    def test_layer_disturbing_the_code_fails_external(self, tmp_path, capsys):
+        data = shipped("table")
+        o = data["pauli_observables"][1]
+        data["pauli_observables"][1] = o[:-1] + ("1" if o[-1] == "0" else "0")
+        table = write_json(tmp_path / "table.json", data)
+        assert main(["verify", CODE, "--external", table]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert "FAIL: pauli_observables[1] anticommutes with codeword operator C_3" in out
+
     @pytest.mark.parametrize("tamper", ["every_step", "class_0_step"])
     def test_class_with_no_step_fails(self, tamper, tmp_path, capsys):
         """A class of two or more errors needs a step or an unresolved entry:

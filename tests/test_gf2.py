@@ -374,15 +374,17 @@ class TestPackedInts:
 
     @settings(max_examples=25, deadline=None)
     @given(**SIZES)
-    def test_factor_solve_int_matches_batch_solve(self, seed, rows, cols):
+    def test_factor_solve_int_matches_array_reference(self, seed, rows, cols):
+        # the canonical solution (free variables 0) from the echelon form of [m | b]
         rng = np.random.default_rng(seed)
         m = wide_matrix(rng, rows, cols)
         factor = gf2.Factor(m)
-        rhs = np.stack([(m @ rng.integers(0, 2, cols)) & 1, rng.integers(0, 2, rows)], axis=1)
-        x, consistent = factor.solve(rhs.astype(np.uint8))
-        for k in range(2):
-            got = factor.solve_int(gf2.to_int(rhs[:, k]))
-            assert (got is not None) == bool(consistent[k])
+        solvable = (m @ rng.integers(0, 2, cols)) & 1
+        for b in (solvable, rng.integers(0, 2, rows)):
+            aug, pivots = numpy_rref(np.concatenate([m, b[:, None]], axis=1))
+            got = factor.solve_int(gf2.to_int(b))
+            assert (got is None) == (cols in pivots)
             if got is not None:
-                assert got == gf2.to_int(x[:, k])
-        assert consistent[0]
+                want = np.zeros(cols, dtype=np.uint8)
+                want[pivots] = aug[: len(pivots), cols]
+                assert got == gf2.to_int(want)

@@ -3,8 +3,8 @@
 ``plan`` factors each code once: the codeword matrix C and its transpose
 are each eliminated once (``gf2.Factor``) and every solve and kernel of
 the plan is answered from those factors, ``detects`` looks words up among
-packed codewords, the parity tables of the pair scan are built by XOR
-doubling, and a reuse check reads the found observable's sign table.
+packed codewords, and a reuse check reads the found observable's sign
+table.
 Each shortcut is compared here with the plain computation it stands for,
 which is kept in this file as the reference.
 """
@@ -21,7 +21,6 @@ from cwskit import cws, gf2
 from cwskit.cws import DetectionResult, build_code, classicalize, detects
 from cwskit.observables import (
     MODES,
-    _parity_table,
     _syndrome_offsets,
     build_decoding_plan,
     eigenvalues,
@@ -55,22 +54,6 @@ def reference_offsets(c_mat, words, labels):
             return labels[t]
         rows.append(solved)
     return np.array(rows, dtype=np.uint8).reshape(len(rows), c_mat.shape[0])
-
-
-def reference_parity_table(mat):
-    """The byte tables as a 0/1 matrix product of every byte value with
-    every 8-column slice of ``mat``, packed like the pair scan packs."""
-    rows, cols = mat.shape
-    nbytes = -(-cols // 8)
-    padded = np.zeros((rows, nbytes * 8), dtype=np.uint8)
-    padded[:, :cols] = mat
-    byte_bits = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(np.uint8)
-    per_byte = padded.reshape(rows, nbytes, 8).transpose(2, 1, 0).reshape(8, nbytes * rows)
-    parities = (byte_bits @ per_byte) & 1
-    parities = parities.reshape(256, nbytes, rows).transpose(1, 0, 2).reshape(nbytes * 256, rows)
-    packed = np.zeros((nbytes * 256, 8 * max(1, -(-rows // 64))), dtype=np.uint8)
-    packed[:, : -(-rows // 8)] = np.packbits(parities, axis=1, bitorder="little")
-    return packed.view("<u8").reshape(nbytes, 256, -1)
 
 
 def reference_detects(code, e):
@@ -123,30 +106,15 @@ class TestBatchedOffsets:
         if rng.integers(0, 2):  # consistent: every w_t + w_0 in the row space of C
             words = words[0] ^ ((rng.integers(0, 2, (count, k)) @ c_mat) & 1).astype(np.uint8)
         labels = [f"E{t}" for t in range(count)]
-        code = SimpleNamespace(codewords=c_mat, num_codewords=k, ct_factor=gf2.Factor(c_mat.T))
+        code = SimpleNamespace(ct_factor=gf2.Factor(c_mat.T))
+        subset = SimpleNamespace(labels=labels)
         want = reference_offsets(c_mat, words, labels)
         if isinstance(want, str):
             with pytest.raises(ValueError, match=f"'E0' and '{want}' have different"):
-                _syndrome_offsets(code, SimpleNamespace(labels=labels), words)
+                _syndrome_offsets(code, subset, gf2.pack_rows(words))
         else:
-            got = _syndrome_offsets(code, SimpleNamespace(labels=labels), words)
-            assert np.array_equal(got, want)
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.integers(1, 10), st.integers(1, 10), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
-    def test_solve_columns_matches_one_solve_per_column(self, rows, cols, count, seed):
-        rng = np.random.default_rng(seed)
-        mat = random_matrix(rng, rows, cols)
-        rhs = rng.integers(0, 2, (rows, count)).astype(np.uint8)
-        rhs[:, ::2] = (mat @ rng.integers(0, 2, (cols, rhs[:, ::2].shape[1]))) & 1
-        x, consistent = gf2.solve_columns(mat, rhs)
-        for k in range(count):
-            want = reference_solve(mat, rhs[:, k])
-            assert consistent[k] == (want is not None)
-            assert (gf2.solve(mat, rhs[:, k]) is None) == (want is None)
-            if want is not None:
-                assert np.array_equal(x[:, k], want)
-                assert np.array_equal(gf2.solve(mat, rhs[:, k])[0], want)
+            got = _syndrome_offsets(code, subset, gf2.pack_rows(words))  # packed rows alpha_t
+            assert np.array_equal(gf2.unpack_rows(got, k), want)
 
 
 class TestFactor:
@@ -160,26 +128,30 @@ class TestFactor:
         base = random_matrix(rng, rows, cols)
         for mat in (base, base.T):  # C and C^T, as a code factors both
             factor = gf2.Factor(mat)
+            width = mat.shape[1]
+            aug = gf2.unpack_rows(factor.rows, width + mat.shape[0])  # [R | T]
             r_mat, pivots = gf2.rref(mat)
-            assert np.array_equal(factor.echelon, r_mat) and factor.pivots == pivots
-            assert np.array_equal((factor.ops @ mat) & 1, r_mat)
+            assert np.array_equal(aug[:, :width], r_mat) and factor.pivots == pivots
+            assert np.array_equal((aug[:, width:] @ mat) & 1, r_mat)
             rhs = rng.integers(0, 2, (mat.shape[0], count)).astype(np.uint8)
-            rhs[:, ::2] = (mat @ rng.integers(0, 2, (mat.shape[1], rhs[:, ::2].shape[1]))) & 1
+            rhs[:, ::2] = (mat @ rng.integers(0, 2, (width, rhs[:, ::2].shape[1]))) & 1
             for k in range(count):
                 want = reference_solve(mat, rhs[:, k])
-                x, consistent = factor.solve(rhs[:, k : k + 1])
-                assert consistent[0] == (want is not None)
+                x = factor.solve_int(gf2.to_int(rhs[:, k]))
+                solved = gf2.solve(mat, rhs[:, k])
+                assert (x is None) == (solved is None) == (want is None)
                 if want is not None:
-                    assert np.array_equal(x[:, 0], want)
+                    assert x == gf2.to_int(want) and np.array_equal(solved[0], want)
             assert np.array_equal(factor.kernel(), gf2.kernel_basis(mat))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 9), st.integers(0, 2 ** 32 - 1))
     def test_code_kernels_match_kernel_basis(self, n, seed):
         code = random_code(np.random.default_rng(seed), n, max_words=min(12, 2 ** n))
+        left = list(gf2.unpack_rows(code.left_kernel, code.num_codewords))  # packed rows
         for got, want in (
             (code.kernel, gf2.kernel_basis(code.codewords)),
-            (code.left_kernel, gf2.kernel_basis(code.codewords.T)),
+            (left, gf2.kernel_basis(code.codewords.T)),
         ):
             assert len(got) == len(want) and all(map(np.array_equal, got, want))
 
@@ -263,16 +235,6 @@ class TestReuseRule:
         assert_reuse_rule(ring_code, ring_errors, plan)
 
 
-class TestParityTable:
-    @settings(max_examples=80, deadline=None)
-    @given(st.integers(1, 140), st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
-    def test_matches_matmul_reference(self, rows, cols, seed):
-        mat = np.random.default_rng(seed).integers(0, 2, (rows, cols)).astype(np.uint8)
-        got, want = _parity_table(mat), reference_parity_table(mat)
-        assert got.shape == want.shape
-        assert np.array_equal(got, want)
-
-
 def random_errors(rng, code, count):
     """Random Paulis, a third of them stabilizer elements up to phase
     (classical word 0), which ``detects`` treats as degenerate."""
@@ -337,7 +299,7 @@ class TestFactorsOnTheCode:
         direct = gf2.kernel_basis(code.codewords)
         assert all(map(np.array_equal, code.kernel, direct)) and len(code.kernel) == len(direct)
         left = gf2.kernel_basis(code.codewords.T)
-        assert all(map(np.array_equal, code.left_kernel, left)) and len(code.left_kernel) == len(left)
+        assert np.array_equal(gf2.unpack_rows(code.left_kernel, code.num_codewords), left)
         r_mat, pivots = gf2.rref(np.array(direct))
         rows, kernel_pivots = code.kernel_echelon  # packed rows
         assert np.array_equal(gf2.unpack_rows(rows, code.n), r_mat) and kernel_pivots == pivots

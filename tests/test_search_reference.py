@@ -7,17 +7,18 @@ ascending order that makes error 0 usable; it returns the first
 observable that ``is_decoding_observable`` accepts and on which
 ``eigenvalue_on_error`` takes both signs.  The kernel must return the
 same observable, or None exactly when the reference finds nothing.  On
-codes whose codewords span less than n it must also scan exactly the
-smallest candidate of each nonzero key (C v, f(v)) whose f(v) part is
-zero, found by brute force: in both modes only exponents that commute
-alike with every error of the subset can take part in a hit.
+codes whose codewords span less than n, the nonzero combinations of the
+basis it scans must also be exactly the smallest candidate of each
+nonzero key (C v, f(v)) whose f(v) part is zero, in ascending order,
+found by brute force: in both modes only exponents that commute alike
+with every error of the subset can take part in a hit.
 """
 
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cwskit import cws, gf2, observables
@@ -103,18 +104,72 @@ def test_kernel_matches_reference_on_small_codes(seed, mode):
     assert search_type4(code, subset, mode=mode) == reference_first_hit(code, subset, mode)
 
 
-@settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(seed=st.integers(0, 2 ** 32 - 1), mode=MODES)
-def test_kernel_matches_reference_past_one_word(seed, mode):
-    # more than 64 errors or more than 64 codewords: several packed words
-    rng = np.random.default_rng(seed)
-    if rng.integers(0, 2):
-        n, count, size, word_dim = 6, int(rng.integers(5, 11)), int(rng.integers(65, 80)), 1
-    else:
-        n, count, size, word_dim = 7, int(rng.integers(65, 100)), int(rng.integers(2, 6)), 2
-    code = random_graph_code(rng, n, count)
-    subset = single_class_subset(rng, code, size, word_dim)
-    assert search_type4(code, subset, mode=mode) == reference_first_hit(code, subset, mode)
+def wide_code(rng):
+    """An n = 8 code with more than 64 codewords that still leaves pairs of
+    errors to split: a 6-dimensional subspace V and a few words from each of
+    two cosets V + u1 and V + u2, so C has rank 8.  The codeword differences
+    miss most of V + u1 + u2.  At n <= 7, or with 65 words of a rank-7 row
+    space, every element of the row space is a codeword difference."""
+    basis = rng.integers(0, 2, size=(8, 8)).astype(np.uint8)
+    while gf2.rank(basis) < 8:
+        basis = rng.integers(0, 2, size=(8, 8)).astype(np.uint8)
+    space = [(gf2.from_int(x, 6) @ basis[:6]) & 1 for x in range(64)]
+    extra = int(rng.integers(1, 4))
+    words = space + [space[x] ^ u for u in basis[6:] for x in rng.choice(64, extra, replace=False)]
+    adjacency = np.triu(rng.integers(0, 2, size=(8, 8)), 1).astype(np.uint8)
+    return build_code(adjacency | adjacency.T, words)
+
+
+SPLITTING_WIDE_SEED = 0  # draws a ``wide_code`` class that splits in exhaustive mode
+
+
+def test_kernel_matches_reference_past_one_word():
+    """More than 64 errors, or more than 64 codewords, so that packed
+    offsets or images C v span several machine words: n = 7 codes, whose
+    classes cannot split, and n = 8 codes from ``wide_code``, some of whose
+    classes split."""
+    outcomes = []
+
+    @settings(max_examples=12, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2 ** 32 - 1), mode=MODES)
+    @example(seed=SPLITTING_WIDE_SEED, mode="exhaustive")
+    def check(seed, mode):
+        rng = np.random.default_rng(seed)
+        case = rng.integers(0, 4)
+        if case == 0:
+            code = random_graph_code(rng, 6, int(rng.integers(5, 11)))
+            subset = single_class_subset(rng, code, int(rng.integers(65, 80)), 1)
+        elif case == 1:
+            code = random_graph_code(rng, 7, int(rng.integers(65, 100)))
+            subset = single_class_subset(rng, code, int(rng.integers(2, 6)), 2)
+        else:
+            code = wide_code(rng)
+            subset = separable_subset(rng, code, int(rng.integers(2, 4)), every_word=True)
+        found = search_type4(code, subset, mode=mode)
+        assert found == reference_first_hit(code, subset, mode)
+        outcomes.append(found is not None)
+
+    check()
+    assert any(outcomes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(width=st.integers(1, 90), data=st.data())
+def test_echelon_combinations_ascend(width, data):
+    """The scan's order: after ``gf2.eliminate`` and reversing, combination t
+    of a basis (bit k of t picks row k) is the t-th smallest of its span."""
+    rows = data.draw(st.lists(st.integers(0, 2 ** width - 1), max_size=7))
+    basis = list(rows)
+    basis = basis[: len(gf2.eliminate(basis, width))][::-1]
+    combos = []
+    for t in range(2 ** len(basis)):
+        v = 0
+        for k, b in enumerate(basis):
+            if t >> k & 1:
+                v ^= b
+        combos.append(v)
+    assert combos == sorted(set(gf2.int_span(rows)))
 
 
 def test_kernel_matches_reference_on_ring_classes(ring_code, ring_errors):
@@ -142,16 +197,21 @@ def subspace_code(rng, n, dim, count):
     return build_code(adjacency, words)
 
 
-def separable_subset(rng, code, size):
+def separable_subset(rng, code, size, every_word=False):
     """Up to ``size`` errors of one Pauli syndrome class whose classical words
     differ by no difference of two codewords, so that no two of them map
     codeword states into one corrupted space and a four-term observable may
     tell them apart.  Errors keep to one class when their words differ by
-    elements of the row space of C."""
+    elements of the row space of C; ``every_word`` says that the row space
+    is the whole space, for codes with too many codewords to span."""
     n = code.n
     differences = {(a ^ b).tobytes() for a in code.codewords for b in code.codewords}
     offsets = [np.zeros(n, dtype=np.uint8)]
-    for r in rng.permutation(np.array(gf2.enumerate_span(list(code.codewords), n))):
+    if every_word:
+        space = [gf2.from_int(x, n) for x in range(2 ** n)]
+    else:
+        space = gf2.enumerate_span(list(code.codewords), n)
+    for r in rng.permutation(np.array(space)):
         if len(offsets) < size and all((r ^ o).tobytes() not in differences for o in offsets):
             offsets.append(r)
     base = rng.integers(0, 2, n).astype(np.uint8)
@@ -209,8 +269,10 @@ def test_quotient_scan_matches_reference_on_rank_deficient_codes():
         assert found == reference_first_hit(code, subset, mode)
         size, minima = coset_minima(code, subset, mode)
         assert len(minima) < size  # the blind space is nonzero
-        if scan.called:
-            assert scan.call_args.args[3] == [gf2.to_int(v) for v in minima]  # packed candidates
+        if scan.called:  # the scan's basis, whose combinations are the minima in order
+            basis = scan.call_args.args[3]
+            combos = [observables._combine(basis, t) for t in range(1, 2 ** len(basis))]
+            assert combos == [gf2.to_int(v) for v in minima]
         else:
             assert len(minima) < 2
         outcomes.append(found is not None)
