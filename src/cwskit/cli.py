@@ -22,13 +22,11 @@ import sys
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import gf2, verify
 from .cws import (
     CwsCode,
     ErrorSet,
-    classical_words,
+    classical_word,
     code_fingerprint,
     detects,
     errors_from_entries,
@@ -156,7 +154,7 @@ class Claims:
     are failures found while reading, such as a plan class left unsplit."""
 
     errors: ErrorSet
-    layer: list[np.ndarray] | None
+    layer: list | None  # 0/1 vectors
     classes: list[tuple[str, list[int]]]
     observables: list[Claim]
     entries: dict[str, Type4Observable | ValueError] | None = None
@@ -284,10 +282,10 @@ def cmd_verify(args) -> int:
     if claims.layer is not None:
         # a layer element S^O must commute with every codeword operator Z^(C_i): C O = 0
         for k, o in enumerate(claims.layer):
-            disturbed = np.flatnonzero(gf2.matvec(code.codewords, o))
-            if disturbed.size:
+            disturbed = gf2.int_matvec(code.codeword_rows, gf2.to_int(o))  # bit K - 1 - i: C_i
+            if disturbed:
                 failures.append(f"pauli_observables[{k}] anticommutes with codeword operator"
-                                f" C_{disturbed[0] + 1}")
+                                f" C_{code.num_codewords - disturbed.bit_length() + 1}")
         partition = {
             sign_string(cls.signs): sorted(errors.labels[i] for i in cls.members)
             for cls in pauli_syndrome_partition(code, errors, claims.layer)
@@ -299,6 +297,10 @@ def cmd_verify(args) -> int:
                     f"{syndrome}: expected members {expected}, "
                     f"partition gives {partition.get(syndrome)}"
                 )
+        if args.plan is not None:  # a plan lists every class of the partition once
+            listed = [syndrome for syndrome, _ in claims.classes]
+            failures.extend(f"{s}: the plan lists the partition's class {m} {listed.count(s)}"
+                            " times, not once" for s, m in partition.items() if listed.count(s) != 1)
     failures.extend(claims.faults)
     notes: dict[str | None, list[str]] = {}
     for name, obs in (claims.entries or {}).items():
@@ -313,11 +315,10 @@ def cmd_verify(args) -> int:
         else:
             states = verify.codeword_states(code)
     oracle_passed = oracle_failed = 0
-    words = classical_words(code, errors)
     for claim in claims.observables:
         out = notes.setdefault(claim.owner, [])
         obs = claim.observable
-        signs = eigenvalues(code, words[list(claim.signs)], obs).tolist()
+        signs = eigenvalues(code, [classical_word(code, errors.errors[i]) for i in claim.signs], obs)
         if not all(signs):
             labels = ", ".join(errors.labels[i] for i in claim.signs)
             out.append(f"{claim.name}: leaks on {{{labels}}}")

@@ -135,24 +135,28 @@ def build_code(adjacency, codewords) -> CwsCode:
     return CwsCode(n=n, adjacency=m, codewords=word_matrix, generators=generators)
 
 
-def classicalize(code: CwsCode, e: Pauli) -> np.ndarray:
-    """Classical word z + M x of a Pauli error, phase discarded."""
+def classical_word(code: CwsCode, e: Pauli) -> int:
+    """Classical word z + M x of a Pauli error, phase discarded, packed in
+    the ``gf2.to_int`` order from the rows of M: the one place it is formed."""
     if e.n != code.n:
         raise ValueError(f"error acts on {e.n} qubits, code has {code.n}")
-    return e.z ^ gf2.matvec(code.adjacency, e.x)
+    # e.z holds one 0/1 byte per entry, so its hex reads "0", then the bit, per entry
+    word, rows = int(e.z.tobytes().hex()[1::2] or "0", 2), code.adjacency_rows
+    for i, bit in enumerate(e.x.tobytes()):  # M x: M is symmetric, its columns are its rows
+        if bit:
+            word ^= rows[i]
+    return word
 
 
-def classical_words(code: CwsCode, errors: "ErrorSet") -> np.ndarray:
-    """|E| x n matrix whose rows are the classical words z + M x of the
-    errors, in order.  S^v commutes with error k exactly when
-    <words[k], v> = 0."""
-    n = code.n
-    for label, e in errors:
-        if e.n != n:
-            raise ValueError(f"error {label!r} acts on {e.n} qubits, code has {n}")
-    x = np.array([e.x for e in errors.errors], dtype=np.uint8).reshape(len(errors), n)
-    z = np.array([e.z for e in errors.errors], dtype=np.uint8).reshape(len(errors), n)
-    return z ^ ((x @ code.adjacency) & 1)  # M is symmetric: x M = (M x)^T
+def classicalize(code: CwsCode, e: Pauli) -> np.ndarray:
+    """``classical_word`` as a 0/1 vector."""
+    return gf2.unpack_rows([classical_word(code, e)], code.n)[0]
+
+
+def classical_words(code: CwsCode, errors: "ErrorSet") -> list[int]:
+    """The errors' packed classical words (``classical_word``), in order: S^v
+    commutes with error k exactly when words[k] & gf2.to_int(v) has even parity."""
+    return [classical_word(code, e) for e in errors.errors]
 
 
 @dataclass
@@ -173,15 +177,12 @@ def detects(code: CwsCode, e: Pauli) -> DetectionResult:
     A zero word means the error is a stabilizer element up to phase; it
     passes only when it commutes with every codeword operator, i.e. acts
     as the identity on the whole code (flagged "degenerate-pass").  The
-    word z + M x is formed packed, from the rows of M (M is symmetric).
+    word is looked up packed (``classical_word``).
     """
-    if e.n != code.n:
-        raise ValueError(f"error acts on {e.n} qubits, code has {code.n}")
-    x, z = gf2.pack_rows((e.x, e.z))
-    key = z ^ gf2.int_matvec(code.adjacency_rows, x)
+    key = classical_word(code, e)
     word = gf2.unpack_rows([key], code.n)[0]
     if not key:
-        overlap = gf2.int_matvec(code.codeword_rows, x)  # bit K - 1 - i: C_i against x
+        overlap = gf2.int_matvec(code.codeword_rows, gf2.to_int(e.x))  # bit K - 1 - i: <C_i, x>
         if overlap:
             i = code.num_codewords - overlap.bit_length()
             return DetectionResult(

@@ -34,7 +34,7 @@ import numpy as np
 
 
 def as_vector(v) -> np.ndarray:
-    """Coerce to a 1-D uint8 array with entries reduced mod 2."""
+    """Coerce to a fresh 1-D uint8 array with entries reduced mod 2."""
     arr = np.asarray(v)
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {arr.shape}")

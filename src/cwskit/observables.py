@@ -12,8 +12,8 @@ correction of each error still solves that system.
 
 Every commutation question is answered on classical words: S^v commutes
 with an error E = Z^z X^x exactly when <z + M x, v> = 0, so a whole error
-set is handled as one matrix of words (``cws.classical_words``) and
-products of it with exponent vectors, without forming phased Paulis.
+set is handled as its packed words (``cws.classical_words``) and parities
+of their ANDs with packed exponents, without forming phased Paulis.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from . import gf2
 from .cws import (
     CwsCode,
     ErrorSet,
+    classical_word,
     classical_words,
     classicalize,
     code_fingerprint,
@@ -63,9 +64,9 @@ class Type4Observable:
     sign: int = 1
 
     def __post_init__(self):
-        self.v = gf2.as_vector(self.v).copy()
-        self.v1 = gf2.as_vector(self.v1).copy()
-        self.v2 = gf2.as_vector(self.v2).copy()
+        self.v = gf2.as_vector(self.v)  # as_vector returns a fresh array
+        self.v1 = gf2.as_vector(self.v1)
+        self.v2 = gf2.as_vector(self.v2)
         if not (self.v.shape == self.v1.shape == self.v2.shape):
             raise ValueError("v, v1, v2 must have equal length")
         if not self.v1.any() or not self.v2.any():
@@ -162,12 +163,12 @@ def stabilization_rhs(code: CwsCode, v1, v2) -> np.ndarray:
 def stabilizes(code: CwsCode, a: Type4Observable) -> bool:
     """True iff the observable fixes every codeword state: its eigenvalue
     on the identity error, whose classical word is zero, is +1."""
-    return bool(eigenvalues(code, np.zeros((1, code.n), dtype=np.uint8), a)[0] == 1)
+    return eigenvalues(code, [0], a)[0] == 1
 
 
-def eigenvalues(code: CwsCode, words: np.ndarray, a: Type4Observable) -> np.ndarray:
+def eigenvalues(code: CwsCode, words: list[int], a: Type4Observable) -> list[int]:
     """Measurement outcome of the observable on each error, one error per
-    row of classical ``words``: +1 or -1, or 0 where the observable leaks.
+    packed classical word: +1 or -1, or 0 where the observable leaks.
 
     A codeword state corrupted by E, E Z^c |G>, is up to phase the
     graph-basis state Z^(c + w) |G> for the classical word w of E, and S^u
@@ -176,28 +177,30 @@ def eigenvalues(code: CwsCode, words: np.ndarray, a: Type4Observable) -> np.ndar
     codeword exactly when v plus the correction a2 v1 + a1 v2 of the error,
     with (a1, a2) = (<w, v1>, <w, v2>), still solves the stabilization
     system: C v + a2 (C v1) + a1 (C v2) = C v1 | C v2.  Otherwise the
-    outcome depends on the codeword and the observable leaks.
+    outcome depends on the codeword and the observable leaks.  The images
+    C v, C v1, C v2 are packed K-bit ints (``code.codeword_rows``).
     """
     if a.n != code.n:
         raise ValueError(f"observable length {a.n} does not match code n={code.n}")
-    exps = np.array([a.v, a.v1, a.v2], dtype=np.uint8)
-    bits = (words @ exps.T) & 1
-    images = (exps @ code.codewords.T) & 1  # C v, C v1, C v2 as rows
-    shifted = images[0] ^ (bits[:, 2:3] & images[1]) ^ (bits[:, 1:2] & images[2])
-    leaks = (shifted != (images[1] | images[2])).any(axis=1)
-    flips = bits[:, 0] ^ (bits[:, 1] | bits[:, 2])
-    return np.where(leaks, 0, a.sign * (1 - 2 * flips.astype(int)))
+    exps = gf2.pack_rows((a.v, a.v1, a.v2))
+    image, image1, image2 = (gf2.int_matvec(code.codeword_rows, u) for u in exps)
+    signs = []
+    for w in words:
+        b, b1, b2 = ((w & u).bit_count() & 1 for u in exps)
+        leaks = image ^ (image1 if b2 else 0) ^ (image2 if b1 else 0) != image1 | image2
+        signs.append(0 if leaks else -a.sign if b ^ (b1 | b2) else a.sign)
+    return signs
 
 
 def is_decoding_observable(code: CwsCode, errors: ErrorSet, a: Type4Observable) -> bool:
     """Main usability criterion: the observable leaks on no error.  Errors
     are assumed detectable.  The overall sign does not matter here."""
-    return bool(eigenvalues(code, classical_words(code, errors), a).all())
+    return all(eigenvalues(code, classical_words(code, errors), a))
 
 
 def eigenvalue_on_error(code: CwsCode, a: Type4Observable, e: Pauli) -> int:
     """``eigenvalues`` on one error; ValueError when the observable leaks on it."""
-    sign = int(eigenvalues(code, classicalize(code, e)[None, :], a)[0])
+    sign = eigenvalues(code, [classical_word(code, e)], a)[0]
     if not sign:
         raise ValueError(
             f"observable leaks on error {e}: shifted exponent does not solve"
@@ -222,8 +225,8 @@ def sign_string(signs: tuple[int, ...]) -> str:
 def pauli_syndrome_partition(
     code: CwsCode, errors: ErrorSet, observables: list[np.ndarray]
 ) -> list[SyndromeClass]:
-    """Group errors by their commutation signs against each S^O, from one
-    product of the classical words with the observable exponents.
+    """Group errors by their commutation signs against each S^O, the
+    parities of the packed classical words against the packed exponents.
 
     Classes are ordered by sign vector with + before -, members by input
     index; the identity error always lands in the all-plus class.
@@ -231,11 +234,10 @@ def pauli_syndrome_partition(
     for o in observables:
         if len(o) != code.n:
             raise ValueError(f"observable length {len(o)} does not match code n={code.n}")
-    exps = np.array(observables, dtype=np.uint8).reshape(len(observables), code.n)
-    bits = (classical_words(code, errors) @ exps.T) & 1
+    exps = [gf2.to_int(o) for o in observables]
     buckets: dict[tuple[int, ...], list[int]] = {}
-    for idx, row in enumerate(bits.tolist()):
-        buckets.setdefault(tuple(1 - 2 * b for b in row), []).append(idx)
+    for idx, w in enumerate(classical_words(code, errors)):
+        buckets.setdefault(tuple(1 - 2 * ((w & o).bit_count() & 1) for o in exps), []).append(idx)
     ordered = sorted(buckets, key=lambda s: tuple(0 if b == 1 else 1 for b in s))
     return [SyndromeClass(signs, buckets[signs]) for signs in ordered]
 
@@ -247,8 +249,8 @@ def error_normalizer_elements(code: CwsCode, subset: ErrorSet) -> list[np.ndarra
     the exponents are the kernel of the matrix of classical words.
     Returned as the full span, ascending as big-endian integers.
     """
-    rows = classical_words(code, subset)
-    return gf2.enumerate_span(gf2.kernel_basis(rows), code.n)
+    kernel = gf2.int_kernel(classical_words(code, subset), code.n)
+    return list(gf2.unpack_rows(gf2.int_span(kernel), code.n))
 
 
 def search_space_size(code: CwsCode, subset: ErrorSet, mode: str = "corollary") -> int:
@@ -257,7 +259,7 @@ def search_space_size(code: CwsCode, subset: ErrorSet, mode: str = "corollary") 
     ``search_type4`` decides all of them but scans one candidate per coset
     of its blind space, so it visits fewer."""
     if mode == "corollary":
-        m = 2 ** (code.n - gf2.rank(classical_words(code, subset))) - 1
+        m = 2 ** (code.n - len(gf2.eliminate(classical_words(code, subset), code.n))) - 1
     elif mode == "exhaustive":
         m = 2 ** code.n - 1
     else:
@@ -299,7 +301,7 @@ def search_type4(
     first pair of A x B in that order is (min A, min B).
     ``search_space_size`` still counts the unreduced space, all decided.
 
-    The whole search works on packed ints (``gf2.pack_rows``): the blind
+    The whole search works on packed ints (``gf2.to_int`` order): the blind
     space is the part of the code's kernel basis orthogonal to ``fixed``,
     so no matrix holding C is eliminated per class, and the scan takes
     the basis of the coset minima in reduced echelon form, whose
@@ -309,7 +311,7 @@ def search_type4(
         raise ValueError("need at least two errors to split")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    packed = gf2.pack_rows(classical_words(code, subset))
+    packed = classical_words(code, subset)
     alpha = _syndrome_offsets(code, subset, packed)
     fixed = packed if mode == "corollary" else [w ^ packed[0] for w in packed[1:]]
     n = code.n
@@ -694,7 +696,7 @@ def build_decoding_plan(
     classes = pauli_syndrome_partition(code, errors, pauli_obs)
     words = classical_words(code, errors)
     found: list[Type4Observable] = []
-    tables: list[np.ndarray] = []  # eigenvalues of found[k] on every error
+    tables: list[list[int]] = []  # eigenvalues of found[k] on every error
     refinements: list[list[RefinementStep]] = []
     unresolved: list[UnresolvedSubset] = []
     for ci, cls in enumerate(classes):
@@ -703,8 +705,8 @@ def build_decoding_plan(
         while queue:
             members = queue.popleft()
             for chosen, table in enumerate(tables):
-                signs = table[members]
-                if set(signs.tolist()) == {1, -1}:
+                signs = [table[i] for i in members]
+                if set(signs) == {1, -1}:
                     break
             else:
                 sub = errors.subset(members)
@@ -717,9 +719,9 @@ def build_decoding_plan(
                 found.append(obs)
                 tables.append(eigenvalues(code, words, obs))
                 chosen = len(found) - 1
-                signs = tables[chosen][members]
-                assert set(signs.tolist()) == {1, -1}, "search returned a non-splitting observable"
-            signed = dict(zip(members, signs.tolist()))
+                signs = [tables[chosen][i] for i in members]
+                assert set(signs) == {1, -1}, "search returned a non-splitting observable"
+            signed = dict(zip(members, signs))
             steps.append(RefinementStep(chosen, members, signed))
             plus = [i for i in members if signed[i] == 1]
             minus = [i for i in members if signed[i] == -1]

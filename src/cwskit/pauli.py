@@ -31,8 +31,8 @@ class Pauli:
     """Immutable n-qubit Pauli operator with exact global phase."""
 
     def __init__(self, x, z, phase_exp: int = 0):
-        x = gf2.as_vector(x).copy()
-        z = gf2.as_vector(z).copy()
+        x = gf2.as_vector(x)  # as_vector returns a fresh array
+        z = gf2.as_vector(z)
         if x.shape != z.shape:
             raise ValueError("x and z parts must have equal length")
         self._set(x, z, phase_exp)

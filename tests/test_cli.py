@@ -215,7 +215,7 @@ class TestVerify:
                 step["signs"] = {label: -s for label, s in step["signs"].items()}
         plan_file = write_json(tmp_path / "plan.json", data)
         if patched:
-            monkeypatch.setattr(cli, "eigenvalues", lambda *a: -observables.eigenvalues(*a))
+            monkeypatch.setattr(cli, "eigenvalues", lambda *a: [-s for s in observables.eigenvalues(*a)])
         capsys.readouterr()
         assert main(["verify", CODE, "--plan", plan_file]) == 1
         out = capsys.readouterr().out.splitlines()
@@ -552,6 +552,19 @@ EDITED_FAULTS = {
         "not a binary string: ['1', '0'"),
     "code_adjacency_not_list": edited(
         "code", lambda d: d.update(adjacency=5), "field 'adjacency' must be a list, got 5"),
+    "code_adjacency_rows_unequal": edited(
+        "code", lambda d: d["adjacency"].__setitem__(0, d["adjacency"][0][:-1]),
+        "rows have unequal lengths"),
+    "code_no_codewords": edited(
+        "code", lambda d: d.update(codewords=[]), "at least one codeword required"),
+    "code_fewer_adjacency_rows_than_n": edited(
+        "code", lambda d: d.update(n=3, adjacency=["011", "101"]), "adjacency has 2 rows but n=3"),
+    "plan_class_member_unknown": edited(
+        "plan", lambda d: d["classes"][0]["members"].__setitem__(0, "Q9"),
+        "field 'classes[0].members[0]' names unknown error 'Q9'"),
+    "plan_class_signs_not_plus_minus": edited(
+        "plan", lambda d: d["classes"][0].update(signs="+x+-"),
+        "field 'classes[0].signs' must be a string of + and -, got '+x+-'"),
 }
 
 

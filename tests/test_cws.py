@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cwskit import cws, gf2, verify
 from cwskit.cws import InvalidCodeError, build_code, classicalize, detects
@@ -97,6 +99,30 @@ class TestClassicalize:
             lhs = classicalize(ring_code, multiply(e, f))
             rhs = classicalize(ring_code, e) ^ classicalize(ring_code, f)
             assert np.array_equal(lhs, rhs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(60, 80), st.integers(0, 2 ** 32 - 1))
+    def test_words_past_one_machine_word(self, n, seed):
+        # classical_words, classicalize and the word in detects' result
+        # against z ^ (M x) mod 2 per error, at n past 64 bits.  The code is
+        # built from 0/1 rows, as conftest.random_code's integer draws below
+        # 2^n overflow here; a repeated codeword has probability 2^-57.
+        rng = np.random.default_rng(seed)
+        upper = np.triu(rng.integers(0, 2, (n, n)), 1)
+        adjacency = (upper | upper.T).astype(np.uint8)
+        code = build_code(adjacency, [np.zeros(n, dtype=np.uint8), *rng.integers(0, 2, (3, n))])
+        errors = [Pauli(rng.integers(0, 2, n), rng.integers(0, 2, n)) for _ in range(6)]
+        x = np.eye(n, dtype=np.uint8)[n - 1]
+        errors.append(Pauli(x, adjacency[n - 1]))  # a stabilizer element: word zero
+        expected = [(e.z.astype(int) + adjacency.astype(int) @ e.x) % 2 for e in errors]
+        words = cws.classical_words(code, cws.ErrorSet(errors, [f"E{k}" for k in range(7)]))
+        # a word may come as a packed int (the to_int order) or as a 0/1 row
+        assert [w if isinstance(w, int) else gf2.to_int(w) for w in words] == [
+            gf2.to_int(w) for w in expected
+        ]
+        for e, w in zip(errors, expected):
+            assert np.array_equal(classicalize(code, e), w)
+            assert np.array_equal(detects(code, e).word, w)
 
     def test_generator_images(self, ring_code):
         # X_i maps to row i of the adjacency and Z^C maps to C itself

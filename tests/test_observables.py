@@ -92,6 +92,16 @@ class TestType4Observable:
         with pytest.raises(ValueError, match="sign"):
             Type4Observable(v, v1, gf2.parse_vector("0011"), sign=2)
 
+    def test_owns_its_vectors(self):
+        # the fields are the observable's own read-only arrays: changing the
+        # caller's arrays afterwards leaves the observable unchanged
+        given = [np.array(list(s), dtype=np.uint8) for s in ("0110", "0101", "0011")]
+        obs = Type4Observable(*given)
+        for arr in given:
+            arr[:] = 1
+        assert obs.to_dict() == {"v": "0110", "v1": "0101", "v2": "0011", "sign": 1}
+        assert not any(arr.flags.writeable for arr in (obs.v, obs.v1, obs.v2))
+
     def test_squares_to_identity(self):
         rng = np.random.default_rng(51)
         for _ in range(25):
@@ -208,7 +218,7 @@ class TestCommutationCorrection:
         )
         obs = random_observable(rng, code, stabilizing)
         expected = [reference_eigenvalue(code, obs, e) for _, e in errors]
-        assert eigenvalues(code, cws.classical_words(code, errors), obs).tolist() == [
+        assert eigenvalues(code, cws.classical_words(code, errors), obs) == [
             0 if sign is None else sign for sign in expected
         ]
         assert is_decoding_observable(code, errors, obs) == (None not in expected)

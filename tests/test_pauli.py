@@ -32,6 +32,14 @@ class TestStringForm:
         with pytest.raises(ValueError):
             Pauli.from_string("-i")
 
+    def test_owns_its_parts(self):
+        # changing the caller's arrays after construction leaves the operator unchanged
+        x, z = np.array([1, 0, 1], dtype=np.uint8), np.array([0, 1, 1], dtype=np.uint8)
+        p = Pauli(x, z, 1)
+        x[:], z[:] = 0, 0
+        assert str(p) == "-XZY" and p == Pauli.from_string("-XZY")
+        assert not p.x.flags.writeable and not p.z.flags.writeable
+
     def test_matrix_semantics_of_y(self):
         assert np.allclose(pauli_matrix(Pauli.from_string("Y")), matrix_from_string("Y"))
 

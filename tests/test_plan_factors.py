@@ -183,7 +183,7 @@ class TestEliminationsPerPlan:
 
 
 def splits(signs) -> bool:
-    return set(signs.tolist()) == {1, -1}
+    return set(signs) == {1, -1}
 
 
 def assert_reuse_rule(code, errors, plan):
@@ -195,10 +195,11 @@ def assert_reuse_rule(code, errors, plan):
     for steps in plan.refinements:
         for step in steps:
             group = step.applies_to
-            signs = eigenvalues(code, words[group], plan.type4_observables[step.observable])
-            assert dict(zip(group, signs.tolist())) == step.signs and splits(signs)
+            group_words = [words[i] for i in group]
+            signs = eigenvalues(code, group_words, plan.type4_observables[step.observable])
+            assert dict(zip(group, signs)) == step.signs and splits(signs)
             earlier = plan.type4_observables[: step.observable]
-            assert not any(splits(eigenvalues(code, words[group], a)) for a in earlier)
+            assert not any(splits(eigenvalues(code, group_words, a)) for a in earlier)
             assert step.observable <= found
             found += step.observable == found
     assert found == len(plan.type4_observables)

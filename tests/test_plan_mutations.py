@@ -3,8 +3,9 @@
 A plan decodes only if its steps form the refinement tree of the paper's
 procedure: each step splits a group that the steps before it left
 together, and each group of two or more errors left at the end is one
-``unresolved`` entry.  Every mutant below breaks that tree and must exit
-1; the unchanged plan, and the plan with two sibling steps swapped, must
+``unresolved`` entry, and its classes are the whole Pauli syndrome
+partition, each listed once.  Every mutant below breaks that tree or that
+cover and must exit 1; the unchanged plan, and the plan with two sibling steps swapped, must
 exit 0.  The plans are the ring code's corollary plan and the two plans
 of the ``large_n`` benchmark slot 1: at n = 13, a class of four errors
 split by three steps, five more classes with two steps and one
@@ -79,6 +80,24 @@ def mutants(plan: dict):
         yield f"swap the groups of class {ci} and class {ck} step 0", edit(swap)
     for k, u in enumerate(plan["unresolved"]):
         yield f"drop unresolved entry {k} (class {u['class']})", edit(lambda p: p["unresolved"].pop(k))
+    for ci in range(len(plan["classes"])):
+        yield f"drop class {ci}", edit(lambda p: drop_class(p, ci))
+        yield f"duplicate class {ci}", edit(lambda p: duplicate_class(p, ci))
+    yield "no classes", edit(lambda p: p.update(classes=[], unresolved=[]))
+
+
+def drop_class(plan: dict, ci: int) -> None:
+    """Remove class ci and its unresolved entries; later entries' indices shift down."""
+    plan["classes"].pop(ci)
+    plan["unresolved"] = [{**u, "class": u["class"] - (u["class"] > ci)}
+                          for u in plan["unresolved"] if u["class"] != ci]
+
+
+def duplicate_class(plan: dict, ci: int) -> None:
+    """Append a copy of class ci, and of its unresolved entries, as the last class."""
+    plan["unresolved"] += [{**u, "class": len(plan["classes"])}
+                           for u in plan["unresolved"] if u["class"] == ci]
+    plan["classes"].append(copy.deepcopy(plan["classes"][ci]))
 
 
 def sibling_swaps(plan: dict):
@@ -141,3 +160,4 @@ def test_plans_have_the_shapes_the_mutants_need():
     names = [name for plan in plans.values() for name, _ in mutants(plan)]
     for kind in ("drop class", "duplicate", "move", "swap", "drop unresolved", "unresolved entry for"):
         assert any(name.startswith(kind) for name in names), kind
+    assert {"drop class 0", "duplicate class 0", "no classes"} <= set(names)
