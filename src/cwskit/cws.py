@@ -28,37 +28,57 @@ class InvalidCodeError(ValueError):
 
 @dataclass
 class CwsCode:
-    """A validated code.  The codeword matrix C below is factored on first
-    use (``gf2.Factor``), once as ``c_factor`` and once transposed as
-    ``ct_factor``, and the factors are kept: every plan-path solve and
-    kernel is answered from them, so a plan eliminates C and C^T once each,
-    and loading a code, as ``verify`` does, builds neither.  The packed
-    rows of C and M (``codeword_rows``, ``adjacency_rows``) that the plan
-    path works on are likewise built on first use."""
+    """A validated code, held as packed rows in the ``gf2.to_int`` order:
+    ``adjacency_rows``, the rows of the adjacency matrix M, and
+    ``codeword_rows``, the codewords, row 0 the all-zero word.
+
+    Everything else is derived on first read and kept.  The read-only 0/1
+    arrays ``adjacency`` and ``codewords`` and the stabilizer
+    ``generators`` serve the I/O boundary and the dense oracle, so a plan
+    builds none of them.  The codeword matrix C is factored
+    (``gf2.Factor``) once as ``c_factor`` and once transposed as
+    ``ct_factor``; every plan-path solve and kernel is answered from those
+    factors, so a plan eliminates C and C^T at most once each, and loading
+    a code, as ``verify`` does, builds neither."""
 
     n: int
-    adjacency: np.ndarray
-    codewords: np.ndarray  # K x n, row 0 is the all-zero word
-    generators: list[Pauli] = field(repr=False)
+    adjacency_rows: tuple[int, ...]
+    codeword_rows: tuple[int, ...]
 
     @property
     def num_codewords(self) -> int:
-        return int(self.codewords.shape[0])
+        return len(self.codeword_rows)
+
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        """M as a read-only n x n 0/1 array."""
+        return _frozen(gf2.unpack_rows(self.adjacency_rows, self.n))
+
+    @cached_property
+    def codewords(self) -> np.ndarray:
+        """C as a read-only K x n 0/1 array."""
+        return _frozen(gf2.unpack_rows(self.codeword_rows, self.n))
+
+    @cached_property
+    def generators(self) -> list[Pauli]:
+        """The stabilizer generators: X at vertex i with Z on row i of M."""
+        eye = np.eye(self.n, dtype=np.uint8)
+        return [Pauli(x=eye[i], z=row) for i, row in enumerate(self.adjacency)]
 
     @cached_property
     def c_factor(self) -> gf2.Factor:
         """Factor of C: solves the stabilization system C v = b."""
-        return gf2.Factor(self.codewords)
+        return gf2.Factor(self.codeword_rows, self.n)
 
     @cached_property
     def ct_factor(self) -> gf2.Factor:
         """Factor of C^T: solves the syndrome offsets C^T alpha = w."""
-        return gf2.Factor(self.codewords.T)
+        return gf2.Factor(gf2.transpose(self.codeword_rows, self.n), self.num_codewords)
 
     @cached_property
     def kernel(self) -> list[np.ndarray]:
         """Canonical basis of ker C (``gf2.kernel_basis``), read-only."""
-        return _frozen(self.c_factor.kernel())
+        return [_frozen(v) for v in self.c_factor.kernel()]
 
     @cached_property
     def kernel_echelon(self) -> tuple[list[int], list[int]]:
@@ -74,65 +94,51 @@ class CwsCode:
         return self.ct_factor.int_kernel()
 
     @cached_property
-    def codeword_rows(self) -> list[int]:
-        """The codewords as packed ints (``gf2.pack_rows``), in row order."""
-        return gf2.pack_rows(self.codewords)
-
-    @cached_property
-    def adjacency_rows(self) -> list[int]:
-        """The rows of M as packed ints (``gf2.pack_rows``)."""
-        return gf2.pack_rows(self.adjacency)
-
-    @cached_property
     def codeword_index(self) -> dict[int, int]:
         """Codeword row index by its packed value."""
         return {w: i for i, w in enumerate(self.codeword_rows)}
 
 
-def _frozen(vectors: list[np.ndarray]) -> list[np.ndarray]:
-    for v in vectors:
-        v.setflags(write=False)
-    return vectors
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def build_code(adjacency, codewords) -> CwsCode:
-    """Validate a definition and derive the stabilizer generators.
+    """Validate a definition given as 0/1 arrays, entries taken mod 2.
 
     Raises InvalidCodeError naming the violated invariant: the adjacency
     matrix must be square, symmetric and zero-diagonal; the codewords must
     be distinct, of matching length, and start with the all-zero word.
     """
     m = gf2.as_matrix(adjacency)
-    if m.shape[0] != m.shape[1]:
-        raise InvalidCodeError(f"adjacency matrix must be square, got {m.shape}")
-    n = m.shape[0]
-    if not np.array_equal(m, m.T):
+    return _checked(m.shape, [gf2.format_vector(row) for row in m],
+                    (gf2.format_vector(w) for w in codewords))
+
+
+def _checked(shape: tuple[int, int], rows: list[str], words) -> CwsCode:
+    """The code of M, given by its rows as 0/1 strings and its ``shape``,
+    and of the codewords, 0/1 strings read only once M has passed its
+    checks; packed once every check has passed."""
+    if shape[0] != shape[1]:
+        raise InvalidCodeError(f"adjacency matrix must be square, got {shape}")
+    n = shape[0]
+    if ["".join(column) for column in zip(*rows)] != rows:
         raise InvalidCodeError("adjacency matrix must be symmetric")
-    if np.any(np.diag(m)):
+    if any(row[i] == "1" for i, row in enumerate(rows)):
         raise InvalidCodeError("adjacency matrix must have zero diagonal")
-    words = [gf2.as_vector(w) for w in codewords]
+    words = list(words)
     if not words:
         raise InvalidCodeError("at least one codeword required")
     for w in words:
-        if w.shape[0] != n:
-            raise InvalidCodeError(
-                f"codeword length {w.shape[0]} does not match n={n}"
-            )
-    if np.any(words[0]):
+        if len(w) != n:
+            raise InvalidCodeError(f"codeword length {len(w)} does not match n={n}")
+    if "1" in words[0]:
         raise InvalidCodeError("first codeword must be the all-zero word")
-    seen = set()
-    for w in words:
-        key = gf2.format_vector(w)
-        if key in seen:
-            raise InvalidCodeError(f"duplicate codeword {key}")
-        seen.add(key)
-    m.setflags(write=False)
-    word_matrix = np.array(words, dtype=np.uint8)
-    word_matrix.setflags(write=False)
-    generators = [
-        Pauli(x=np.eye(n, dtype=np.uint8)[i], z=m[i]) for i in range(n)
-    ]
-    return CwsCode(n=n, adjacency=m, codewords=word_matrix, generators=generators)
+    if len(set(words)) != len(words):
+        repeated = next(w for k, w in enumerate(words) if w in words[:k])
+        raise InvalidCodeError(f"duplicate codeword {repeated}")
+    return CwsCode(n, tuple(int(r, 2) for r in rows), tuple(int(w or "0", 2) for w in words))
 
 
 def classical_word(code: CwsCode, e: Pauli) -> int:
@@ -155,14 +161,22 @@ def classicalize(code: CwsCode, e: Pauli) -> np.ndarray:
 
 def classical_words(code: CwsCode, errors: "ErrorSet") -> list[int]:
     """The errors' packed classical words (``classical_word``), in order: S^v
-    commutes with error k exactly when words[k] & gf2.to_int(v) has even parity."""
+    commutes with error k exactly when words[k] & gf2.to_int(v) has even
+    parity.  A set that carries its words under this code
+    (``ErrorSet._with_words``) gives them without forming them again."""
+    if errors._words is not None and errors._words[0] is code:
+        return list(errors._words[1])
     return [classical_word(code, e) for e in errors.errors]
 
 
 @dataclass
 class DetectionResult:
+    """What ``detects`` found: whether the error is detected, its classical
+    word packed as ``classical_word`` forms it, whether that word is zero
+    (the error is a stabilizer element up to phase), and why."""
+
     detected: bool
-    word: np.ndarray
+    word: int
     degenerate: bool
     detail: str
 
@@ -177,11 +191,10 @@ def detects(code: CwsCode, e: Pauli) -> DetectionResult:
     A zero word means the error is a stabilizer element up to phase; it
     passes only when it commutes with every codeword operator, i.e. acts
     as the identity on the whole code (flagged "degenerate-pass").  The
-    word is looked up packed (``classical_word``).
+    word is formed packed (``classical_word``), looked up and returned so.
     """
-    key = classical_word(code, e)
-    word = gf2.unpack_rows([key], code.n)[0]
-    if not key:
+    word = classical_word(code, e)
+    if not word:
         overlap = gf2.int_matvec(code.codeword_rows, gf2.to_int(e.x))  # bit K - 1 - i: <C_i, x>
         if overlap:
             i = code.num_codewords - overlap.bit_length()
@@ -191,22 +204,29 @@ def detects(code: CwsCode, e: Pauli) -> DetectionResult:
             )
         return DetectionResult(True, word, True, "degenerate-pass")
     index = code.codeword_index
-    for w, i in index.items():  # codewords in row order; build_code keeps them distinct
-        hit = index.get(w ^ key)
+    for w, i in index.items():  # codewords in row order; the loader keeps them distinct
+        hit = index.get(w ^ word)
         if hit is not None:
             return DetectionResult(
                 False, word, False,
-                f"classical collision: C_{i + 1} + {key:0{code.n}b} equals C_{hit + 1}",
+                f"classical collision: C_{i + 1} + {word:0{code.n}b} equals C_{hit + 1}",
             )
     return DetectionResult(True, word, False, "classically detected")
 
 
 @dataclass
 class ErrorSet:
-    """Ordered Pauli errors with unique human-readable labels."""
+    """Ordered Pauli errors with unique human-readable labels.
+
+    A set may carry its errors' packed classical words under one code
+    (``_with_words``); ``classical_words`` then reads them, and a subset
+    carries its own."""
 
     errors: list[Pauli]
     labels: list[str]
+    _words: tuple[CwsCode, list[int]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if len(self.errors) != len(self.labels):
@@ -225,10 +245,19 @@ class ErrorSet:
         return iter(zip(self.labels, self.errors))
 
     def subset(self, indices) -> "ErrorSet":
-        return ErrorSet(
-            [self.errors[i] for i in indices],
-            [self.labels[i] for i in indices],
-        )
+        indices = list(indices)
+        sub = ErrorSet([self.errors[i] for i in indices], [self.labels[i] for i in indices])
+        if self._words is not None:
+            code, words = self._words
+            sub._words = (code, [words[i] for i in indices])
+        return sub
+
+    def _with_words(self, code: CwsCode, words: list[int]) -> "ErrorSet":
+        """A copy carrying ``words``, the packed classical words of its errors
+        under ``code`` in order, as ``detects`` returned them."""
+        carrier = ErrorSet(list(self.errors), list(self.labels))
+        carrier._words = (code, list(words))
+        return carrier
 
     @classmethod
     def weight_one(cls, n: int) -> "ErrorSet":
@@ -273,23 +302,24 @@ def errors_from_entries(entries, n: int) -> ErrorSet:
 def to_dict(code: CwsCode) -> dict:
     return {
         "n": code.n,
-        "adjacency": [gf2.format_vector(row) for row in code.adjacency],
-        "codewords": [gf2.format_vector(w) for w in code.codewords],
+        "adjacency": [gf2.format_int(row, code.n) for row in code.adjacency_rows],
+        "codewords": [gf2.format_int(w, code.n) for w in code.codeword_rows],
     }
 
 
 def from_dict(d: dict) -> tuple[CwsCode, ErrorSet | None]:
-    """Build a code (and optional error set) from its JSON form."""
+    """Build a code (and optional error set) from its JSON form, with the
+    checks and messages of ``build_code``, on the rows' 0/1 strings."""
     try:
         json_value(d, dict, "")
         n = json_field(d, "n", int)
         rows, words = (json_field(d, key, list) for key in ("adjacency", "codewords"))
     except ValueError as exc:
         raise InvalidCodeError(str(exc)) from None
-    adjacency = gf2.parse_matrix(rows)
-    if adjacency.shape[0] != n:
-        raise InvalidCodeError(f"adjacency has {adjacency.shape[0]} rows but n={n}")
-    code = build_code(adjacency, [gf2.parse_vector(w) for w in words])
+    rows = gf2.binary_rows(rows)
+    if len(rows) != n:
+        raise InvalidCodeError(f"adjacency has {len(rows)} rows but n={n}")
+    code = _checked((n, len(rows[0])), rows, [gf2.binary_string(w) for w in words])
     errors = None
     if "errors" in d:
         errors = errors_from_entries(d["errors"], code.n)
@@ -297,7 +327,8 @@ def from_dict(d: dict) -> tuple[CwsCode, ErrorSet | None]:
 
 
 def code_fingerprint(code: CwsCode) -> str:
-    """SHA-256 of the canonical JSON definition; identifies the code."""
+    """SHA-256 of the canonical JSON definition (``to_dict``, written from
+    the packed rows); identifies the code."""
     canonical = json.dumps(to_dict(code), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("ascii")).hexdigest()
 

@@ -10,11 +10,14 @@ except ``eliminate``, which reduces the list of rows it is given.
 Packed ints.  A vector of length n is also held as one Python int in the
 ``to_int`` order: column c is bit n - 1 - c, so integer order is the
 big-endian order above and adding two vectors is one XOR.  A matrix is a
-list of such ints, one per row (``pack_rows``, ``unpack_rows``).
-``eliminate`` is the one elimination core: ``rref`` and ``Factor`` run it
-on packed rows.  ``int_kernel``, ``int_matvec``, ``int_coset_minimum``,
-``int_span`` and ``Factor.solve_int`` take and return packed ints, and the
-plan path's four-term search, pair scan included, works on them alone.
+list of such ints, one per row (``pack_rows``, ``unpack_rows``,
+``transpose``).  ``eliminate`` is the one elimination core: ``rref`` and
+``Factor`` run it on packed rows.  ``Factor`` is built from packed rows,
+and ``int_kernel``, ``int_matvec``, ``int_coset_minimum``, ``int_span``
+and ``Factor.solve_int`` take and return packed ints; the plan path, from
+the loaded code through the four-term search and its pair scan, works on
+them alone.  ``binary_string`` and ``binary_rows`` check the 0/1 string
+form, which ``int(s, 2)`` packs and ``format_int`` writes back.
 The array functions (``rref``, ``kernel_basis``, ``solve``,
 ``coset_minimum``, ``enumerate_span`` and the rest) keep their numpy form
 for their callers.
@@ -49,37 +52,53 @@ def as_matrix(m) -> np.ndarray:
     return (arr.astype(np.uint8)) & 1
 
 
-def parse_vector(s: str) -> np.ndarray:
-    """Parse an ASCII 0/1 string such as "0001110011".
+def binary_string(s) -> str:
+    """``s`` if it is a nonempty ASCII 0/1 string such as "0001110011".
 
     Anything else, including a value that is not a string, raises
     ValueError.
     """
-    if not isinstance(s, str) or not s or any(c not in "01" for c in s):
+    if not isinstance(s, str) or not s or s.strip("01"):
         raise ValueError(f"not a binary string: {reprlib.repr(s)}")
-    return np.frombuffer(s.encode("ascii"), dtype=np.uint8) - ord("0")
+    return s
+
+
+def parse_vector(s: str) -> np.ndarray:
+    """Parse an ASCII 0/1 string (``binary_string``) into a vector."""
+    return np.frombuffer(binary_string(s).encode("ascii"), dtype=np.uint8) - ord("0")
 
 
 def format_vector(v) -> str:
     return (as_vector(v) + ord("0")).tobytes().decode("ascii")
 
 
-def parse_matrix(rows) -> np.ndarray:
-    """Parse newline-separated rows or an iterable of 0/1 row strings."""
+def binary_rows(rows) -> list[str]:
+    """Newline-separated rows or an iterable of row strings, checked: at
+    least one, each a ``binary_string``, all of one length."""
     if isinstance(rows, str):
         rows = rows.splitlines()
-    parsed = [parse_vector(r) for r in rows]
-    if not parsed:
+    checked = [binary_string(r) for r in rows]
+    if not checked:
         raise ValueError("matrix needs at least one row")
-    widths = {len(r) for r in parsed}
-    if len(widths) != 1:
+    if len({len(r) for r in checked}) != 1:
         raise ValueError("rows have unequal lengths")
-    return np.array(parsed, dtype=np.uint8)
+    return checked
+
+
+def parse_matrix(rows) -> np.ndarray:
+    """Parse newline-separated rows or an iterable of 0/1 row strings (``binary_rows``)."""
+    return np.array([parse_vector(r) for r in binary_rows(rows)], dtype=np.uint8)
 
 
 def to_int(v) -> int:
     """Big-endian integer value of a vector (position 0 most significant)."""
     return int(format_vector(v) or "0", 2)
+
+
+def format_int(value: int, n: int) -> str:
+    """The n-symbol 0/1 string of a packed vector, ``format_vector`` of
+    ``from_int(value, n)``."""
+    return format(value, f"0{n}b") if n else ""
 
 
 def from_int(value: int, n: int) -> np.ndarray:
@@ -122,6 +141,20 @@ def unpack_rows(values: list[int], n: int) -> np.ndarray:
     buf = b"".join([(v << pad).to_bytes(nbytes, "big") for v in values])
     packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(values), nbytes)
     return np.unpackbits(packed, axis=1, count=n)
+
+
+def transpose(rows: list[int], width: int) -> list[int]:
+    """The packed rows of m^T, for the packed rows of a len(rows) x width
+    matrix m: bit len(rows) - 1 - i of row c is entry (i, c) of m."""
+    count = len(rows)
+    out = [0] * width
+    for i, row in enumerate(rows):
+        bit = 1 << (count - 1 - i)
+        while row:
+            low = row & -row
+            out[width - low.bit_length()] |= bit
+            row ^= low
+    return out
 
 
 def eliminate(rows: list[int], width: int, ncols: int | None = None) -> list[int]:
@@ -242,16 +275,18 @@ def int_span(basis: list[int]) -> list[int]:
 class Factor:
     """One elimination of a matrix m, kept to solve m x = b for any b.
 
-    ``rows`` is the reduced form of [m | I], packed, with pivots taken
-    among m's columns only: [R | T] with R = rref(m), ``pivots`` its pivot
-    columns, and T the row operations with T m = R.  Applying it to a
-    right-hand side costs one product T b (``solve_int``).
+    Built from the packed rows of m (``pack_rows``) and its column count
+    ``width``; the rows are not changed.  ``rows`` is the reduced form of
+    [m | I], packed, with pivots taken among m's columns only: [R | T] with
+    R = rref(m), ``pivots`` its pivot columns, and T the row operations
+    with T m = R.  Applying it to a right-hand side costs one product T b
+    (``solve_int``).
     """
 
-    def __init__(self, m):
-        mat = as_matrix(m)
-        count, width = self.count, self.width = mat.shape
-        self.rows = [(r << count) | (1 << (count - 1 - k)) for k, r in enumerate(pack_rows(mat))]
+    def __init__(self, rows: list[int], width: int):
+        count = self.count = len(rows)
+        self.width = width
+        self.rows = [(r << count) | (1 << (count - 1 - k)) for k, r in enumerate(rows)]
         self.pivots = eliminate(self.rows, width + count, width)
 
     def kernel(self) -> list[np.ndarray]:
@@ -290,7 +325,8 @@ def solve(m, rhs) -> tuple[np.ndarray, list[np.ndarray]] | None:
     set to 0 under the reduced echelon form; the full solution set is
     particular + span(kernel).
     """
-    factored = Factor(m)
+    mat = as_matrix(m)
+    factored = Factor(pack_rows(mat), mat.shape[1])
     b = as_vector(rhs)
     if b.shape[0] != factored.count:
         raise ValueError(f"matrix has {factored.count} rows, rhs has {b.shape[0]}")

@@ -62,6 +62,7 @@ class Type4Observable:
     v1: np.ndarray
     v2: np.ndarray
     sign: int = 1
+    _packed: tuple[int, int, int] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.v = gf2.as_vector(self.v)  # as_vector returns a fresh array
@@ -81,6 +82,13 @@ class Type4Observable:
     @property
     def n(self) -> int:
         return int(self.v.shape[0])
+
+    @property
+    def packed(self) -> tuple[int, int, int]:
+        """(v, v1, v2) as packed ints (``gf2.pack_rows``), packed on first read."""
+        if self._packed is None:
+            self._packed = tuple(gf2.pack_rows((self.v, self.v1, self.v2)))
+        return self._packed
 
     def exponents(self) -> tuple[np.ndarray, ...]:
         """The four stabilizer exponents carrying coefficients -1/2, 1/2, 1/2, 1/2."""
@@ -182,7 +190,7 @@ def eigenvalues(code: CwsCode, words: list[int], a: Type4Observable) -> list[int
     """
     if a.n != code.n:
         raise ValueError(f"observable length {a.n} does not match code n={code.n}")
-    exps = gf2.pack_rows((a.v, a.v1, a.v2))
+    exps = a.packed
     image, image1, image2 = (gf2.int_matvec(code.codeword_rows, u) for u in exps)
     signs = []
     for w in words:
@@ -277,7 +285,9 @@ def search_type4(
     The subset must lie inside one Pauli syndrome class (every error
     commutes alike with every Pauli decoding observable); a subset that
     spans several classes raises ValueError, since the Pauli layer
-    already separates it.
+    already separates it.  That is checked first, on the words' parities
+    against ker C, and the offsets alpha_t (``_syndrome_offsets``) are
+    solved only for a scan, which needs two candidate basis rows.
 
     Candidate exponents are the normalizer of the subset (corollary mode)
     or the whole group (exhaustive mode).  Pairs are visited in ascending
@@ -312,20 +322,27 @@ def search_type4(
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     packed = classical_words(code, subset)
-    alpha = _syndrome_offsets(code, subset, packed)
-    fixed = packed if mode == "corollary" else [w ^ packed[0] for w in packed[1:]]
     n = code.n
     kernel, _ = code.kernel_echelon
-    # ker C orthogonal to fixed: the kernel combinations lam with sum_j lam_j <fixed, K_j> = 0
-    combos = gf2.int_kernel([gf2.int_matvec(kernel, f) for f in fixed], len(kernel))
-    blind = [_combine(kernel, lam) for lam in combos]
+    # <K_j, w_t> for the rows K_j of ker C: equal for all t exactly when the subset shares
+    # one Pauli syndrome, and then ker C orthogonal to every word is that orthogonal to w_0
+    syndromes = [gf2.int_matvec(kernel, w) for w in packed]
+    for t, syndrome in enumerate(syndromes):
+        if syndrome != syndromes[0]:
+            raise _across_classes(subset, t)
+    if mode == "corollary":  # the combinations lam of the K_j with sum_j lam_j <w_0, K_j> = 0
+        fixed = packed
+        blind = [_combine(kernel, lam) for lam in gf2.int_kernel(syndromes[:1], len(kernel))]
+    else:  # the rows w_t + w_0 lie in the row space of C, orthogonal to all of ker C
+        fixed = [w ^ packed[0] for w in packed[1:]]
+        blind = list(kernel)
     pivots = gf2.eliminate(blind, n)
     # orthogonal to fixed and 0 on every pivot of the blind space
     basis = gf2.int_kernel(fixed + [1 << (n - 1 - p) for p in pivots], n)
     if len(basis) < 2:  # no pair without the zero coset
         return None
     gf2.eliminate(basis, n)
-    return _pair_search(code, packed[0], alpha, basis)
+    return _pair_search(code, packed[0], _syndrome_offsets(code, subset, packed), basis)
 
 
 def _combine(rows: list[int], lam: int) -> int:
@@ -351,12 +368,16 @@ def _syndrome_offsets(code: CwsCode, subset: ErrorSet, words: list[int]) -> list
     for t, w in enumerate(words[1:], 1):
         alpha = code.ct_factor.solve_int(w ^ words[0])
         if alpha is None:
-            raise ValueError(
-                f"errors {subset.labels[0]!r} and {subset.labels[t]!r} have different"
-                " Pauli syndromes; search within one syndrome class"
-            )
+            raise _across_classes(subset, t)
         offsets.append(alpha)
     return offsets
+
+
+def _across_classes(subset: ErrorSet, t: int) -> ValueError:
+    return ValueError(
+        f"errors {subset.labels[0]!r} and {subset.labels[t]!r} have different"
+        " Pauli syndromes; search within one syndrome class"
+    )
 
 
 def _pair_search(
@@ -471,7 +492,9 @@ def _solved_observable(
     particular = code.c_factor.solve_int(rhs)
     assert particular is not None
     v = gf2.int_coset_minimum(particular, *code.kernel_echelon, code.n)
-    return Type4Observable(*gf2.unpack_rows([v, v1, v2], code.n))
+    obs = Type4Observable(*gf2.unpack_rows([v, v1, v2], code.n))
+    obs._packed = (v, v1, v2)
+    return obs
 
 
 @dataclass
@@ -688,13 +711,15 @@ def build_decoding_plan(
     runs; sub-splits recurse until singletons.  Classes the search cannot
     split are reported with the exhausted pair count instead of failing.
     """
+    words = []
     for label, e in errors:
         result = detects(code, e)
         if not result:
             raise UndetectableError(f"error {label!r} is not detectable: {result.detail}")
+        words.append(result.word)
+    errors = errors._with_words(code, words)  # the partition and the searches read these words
     pauli_obs = pauli_normalizer_generators(code)
     classes = pauli_syndrome_partition(code, errors, pauli_obs)
-    words = classical_words(code, errors)
     found: list[Type4Observable] = []
     tables: list[list[int]] = []  # eigenvalues of found[k] on every error
     refinements: list[list[RefinementStep]] = []

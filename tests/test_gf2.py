@@ -378,7 +378,7 @@ class TestPackedInts:
         # the canonical solution (free variables 0) from the echelon form of [m | b]
         rng = np.random.default_rng(seed)
         m = wide_matrix(rng, rows, cols)
-        factor = gf2.Factor(m)
+        factor = gf2.Factor(gf2.pack_rows(m), cols)
         solvable = (m @ rng.integers(0, 2, cols)) & 1
         for b in (solvable, rng.integers(0, 2, rows)):
             aug, pivots = numpy_rref(np.concatenate([m, b[:, None]], axis=1))

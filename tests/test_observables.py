@@ -461,6 +461,28 @@ class TestSearch:
         with pytest.raises(ValueError, match="'Y2' and 'X7' have different Pauli syndromes"):
             search_type4(ring_code, sub, mode=mode)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 8), st.sampled_from(["corollary", "exhaustive"]),
+           st.integers(2, 5), st.integers(0, 2 ** 32 - 1))
+    def test_every_subset_spanning_two_classes_rejected(self, n, mode, size, seed):
+        # whatever the subset's candidate basis: codes with few codewords leave
+        # many candidates, codes with many leave none
+        rng = np.random.default_rng(seed)
+        code = random_code(rng, n, max_words=int(rng.integers(1, 2 ** n + 1)))
+        kernel = np.array(gf2.kernel_basis(code.codewords), dtype=np.uint8).reshape(-1, n)
+        errors = [Pauli(rng.integers(0, 2, n), rng.integers(0, 2, n)) for _ in range(size)]
+        syndromes = [((kernel @ classicalize(code, e)) & 1).tobytes() for e in errors]
+        t = next((t for t, s in enumerate(syndromes) if s != syndromes[0]), None)
+        if t is None:  # one class: make the last error leave it, if any error can
+            if not len(kernel):
+                return
+            flip = np.eye(n, dtype=np.uint8)[int(np.argmax(kernel[0]))]  # <flip, K_0> = 1
+            errors[-1] = Pauli(errors[-1].x, errors[-1].z ^ flip)
+            t = size - 1
+        sub = cws.ErrorSet(errors, [f"E{k}" for k in range(size)])
+        with pytest.raises(ValueError, match=f"'E0' and 'E{t}' have different Pauli syndromes"):
+            search_type4(code, sub, mode=mode)
+
     def test_absence_when_classical_words_coincide(self):
         # X1 and Z2 share the classical word 01 on the two-vertex edge
         # graph, so no stabilizer-algebra observable can tell them apart

@@ -17,10 +17,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cwskit import cws, gf2
+from cwskit import cli, cws, gf2, observables
 from cwskit.cws import DetectionResult, build_code, classicalize, detects
 from cwskit.observables import (
     MODES,
+    Type4Observable,
     _syndrome_offsets,
     build_decoding_plan,
     eigenvalues,
@@ -83,7 +84,7 @@ def reference_detects(code, e):
 def same_result(got, want):
     return (got.detected, got.degenerate, got.detail) == (
         want.detected, want.degenerate, want.detail
-    ) and np.array_equal(got.word, want.word)
+    ) and got.word == gf2.to_int(want.word)  # the reference keeps its word as a 0/1 row
 
 
 def random_matrix(rng, rows, cols):
@@ -106,7 +107,7 @@ class TestBatchedOffsets:
         if rng.integers(0, 2):  # consistent: every w_t + w_0 in the row space of C
             words = words[0] ^ ((rng.integers(0, 2, (count, k)) @ c_mat) & 1).astype(np.uint8)
         labels = [f"E{t}" for t in range(count)]
-        code = SimpleNamespace(ct_factor=gf2.Factor(c_mat.T))
+        code = SimpleNamespace(ct_factor=gf2.Factor(gf2.pack_rows(c_mat.T), k))
         subset = SimpleNamespace(labels=labels)
         want = reference_offsets(c_mat, words, labels)
         if isinstance(want, str):
@@ -127,7 +128,7 @@ class TestFactor:
         rng = np.random.default_rng(seed)
         base = random_matrix(rng, rows, cols)
         for mat in (base, base.T):  # C and C^T, as a code factors both
-            factor = gf2.Factor(mat)
+            factor = gf2.Factor(gf2.pack_rows(mat), mat.shape[1])
             width = mat.shape[1]
             aug = gf2.unpack_rows(factor.rows, width + mat.shape[0])  # [R | T]
             r_mat, pivots = gf2.rref(mat)
@@ -305,3 +306,41 @@ class TestFactorsOnTheCode:
         rows, kernel_pivots = code.kernel_echelon  # packed rows
         assert np.array_equal(gf2.unpack_rows(rows, code.n), r_mat) and kernel_pivots == pivots
         assert not code.kernel[0].flags.writeable
+
+
+class TestOneClassicalization:
+    """A plan forms each error's classical word once, in ``detects``, and
+    reads the code and its observables packed."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_ring_plan_forms_each_word_once(self, mode, monkeypatch):
+        code, _ = cws.from_dict(json.loads(CODE_FILE.read_text()))
+        original, calls = cws.classical_word, []
+
+        def counted(*args):
+            calls.append(args[1])
+            return original(*args)
+
+        for module in (cws, observables, cli):  # every module-level name bound to it
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, counted)
+        errors = cws.ErrorSet.weight_one(code.n)
+        build_decoding_plan(code, errors, mode=mode)
+        assert len(calls) == 30 and [str(e) for e in calls] == [str(e) for e in errors.errors]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_plan_builds_no_code_arrays(self, mode):
+        code, _ = cws.from_dict(json.loads(CODE_FILE.read_text()))
+        build_decoding_plan(code, cws.ErrorSet.weight_one(code.n), mode=mode)
+        assert not {"adjacency", "codewords", "generators"} & set(vars(code))
+
+    def test_observable_packs_its_exponents_once(self, ring_code, ring_errors, monkeypatch):
+        a = Type4Observable(*(gf2.parse_vector(s) for s in ("0000111001", "0000100001", "0001000011")))
+        original, calls = gf2.pack_rows, []
+        monkeypatch.setattr(gf2, "pack_rows", lambda m: calls.append(1) or original(m))
+        words = cws.classical_words(ring_code, ring_errors)
+        assert eigenvalues(ring_code, words, a) == eigenvalues(ring_code, words, a)
+        assert len(calls) == 1 and a.packed == (57, 33, 67)
+        with pytest.raises(AttributeError):
+            a.packed = (0, 0, 0)
