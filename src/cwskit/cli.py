@@ -116,6 +116,50 @@ def cmd_analyze(args) -> int:
     return 0 if undetected == 0 else 1
 
 
+_quote = json.encoder.encode_basestring_ascii  # the C routine, when the json module has it
+
+
+def json_text(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True) + "\\n"`` for what a plan
+    holds: dicts with string keys, lists, strings, ints, bools and None.
+
+    ``json.dumps`` runs its pure-Python encoder whenever it indents; this
+    writes the same bytes, quoting every string with the C encoder."""
+    parts: list[str] = []
+
+    def emit(v, indent: str) -> None:
+        if isinstance(v, str):
+            parts.append(_quote(v))
+        elif v is None or v is True or v is False:
+            parts.append("null" if v is None else "true" if v else "false")
+        elif isinstance(v, int):
+            parts.append(int.__repr__(v))
+        elif isinstance(v, dict) and v:
+            inner = indent + "  "
+            sep = "{\n" + inner
+            for key in sorted(v):
+                parts.extend((sep, _quote(key), ": "))
+                emit(v[key], inner)
+                sep = ",\n" + inner
+            parts.append("\n" + indent + "}")
+        elif isinstance(v, list) and v:
+            inner = indent + "  "
+            sep = "[\n" + inner
+            for item in v:
+                parts.append(sep)
+                emit(item, inner)
+                sep = ",\n" + inner
+            parts.append("\n" + indent + "]")
+        elif isinstance(v, (dict, list)):
+            parts.append("{}" if isinstance(v, dict) else "[]")
+        else:
+            raise TypeError(f"{type(v).__name__} is not a plan JSON value")
+
+    emit(value, "")
+    parts.append("\n")
+    return "".join(parts)
+
+
 def cmd_plan(args) -> int:
     start = time.perf_counter()
     code, file_errors = _load_code(args.code)

@@ -12,7 +12,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cwskit import cli, cws, observables, verify
@@ -670,3 +670,27 @@ def test_mutated_input_exits_with_at_most_one_error_line(kind, data, tmp_path_fa
     assert isinstance(rc, int)
     lines = err.getvalue().splitlines()
     assert lines == [] or (len(lines) == 1 and lines[0].startswith("error: ")), lines
+
+
+# Strings a JSON writer must escape: quotes, backslashes, control characters,
+# non-ASCII, astral and lone surrogates, mixed with any other character.
+JSON_TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\té€ \ud800\U0001f600') | st.characters(),
+                    max_size=8)
+PLAN_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2 ** 200, 2 ** 200) | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(PLAN_VALUES)
+@example({"b": [], "a": {}, "": [[], {}, [{}]], "c": {"d": [None, True, False, -0, -7]}})
+def test_plan_writer_matches_indented_json_dumps(value):
+    assert cli.json_text(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def test_plan_writer_refuses_values_a_plan_does_not_hold():
+    for value in (1.5, (1, 2), {1: "a"}, b"x"):
+        with pytest.raises(TypeError):
+            cli.json_text({"k": [value]})
