@@ -167,8 +167,8 @@ def cmd_plan(args) -> int:
     plan = build_decoding_plan(code, errors, mode=args.mode)
     print(plan.to_table())
     print()
-    plan_json = json.dumps(plan.to_dict(), indent=2, sort_keys=True) + "\n"
-    if args.out:
+    plan_json = json_text(plan.to_dict())
+    if args.out is not None:
         with open(args.out, "w") as fh:
             fh.write(plan_json)
         print(f"plan written to {args.out}")
@@ -396,7 +396,7 @@ def cmd_verify(args) -> int:
 
 def _out_path(path: str) -> str:
     """``plan --out``, checked as the arguments are parsed, before any search."""
-    if os.path.isdir(path) or not os.access(os.path.dirname(path) or ".", os.W_OK):
+    if not path or os.path.isdir(path) or not os.access(os.path.dirname(path) or ".", os.W_OK):
         raise argparse.ArgumentTypeError(f"{path!r} is not a file in a writable directory")
     return path
 

@@ -405,6 +405,11 @@ def plan_out_in_missing_directory(tmp_path, monkeypatch):
     return ["plan", CODE, "--out", out], f"argument --out: {out!r} is not a file in a writable directory"
 
 
+def plan_out_empty(tmp_path, monkeypatch):
+    """An empty ``--out`` once sent the plan to stdout and wrote no file."""
+    return ["plan", CODE, "--out", ""], "error: argument --out: '' is not a file in a writable directory"
+
+
 def plan_out_is_a_directory(tmp_path, monkeypatch):
     return ["plan", CODE, "--out", str(tmp_path)], f"argument --out: {str(tmp_path)!r} is not a file"
 
@@ -580,6 +585,7 @@ EDITED_FAULTS = {
     code_path_is_a_directory,
     plan_path_is_a_directory,
     plan_out_in_missing_directory,
+    plan_out_empty,
     plan_out_is_a_directory,
     *(pytest.param(fault, id=name) for name, fault in {**EDITED_FAULTS, **USAGE_FAULTS}.items()),
 ])
