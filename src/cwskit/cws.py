@@ -261,12 +261,16 @@ class ErrorSet:
 
     @classmethod
     def weight_one(cls, n: int) -> "ErrorSet":
-        """All 3n single-qubit errors ordered X_1, Y_1, Z_1, X_2, ..."""
+        """All 3n single-qubit errors ordered X_1, Y_1, Z_1, X_2, ...; they
+        share read-only unit rows and one zero row."""
+        zero, units = np.zeros(n, dtype=np.uint8), np.eye(n, dtype=np.uint8)
+        units.setflags(write=False)
         errors, labels = [], []
-        for q in range(n):
-            for letter in "XYZ":
-                errors.append(Pauli.single(n, q, letter))
-                labels.append(f"{letter}{q + 1}")
+        for q, unit in enumerate(units, 1):
+            # Y = i X Z carries phase exponent 3, as Pauli.single("Y") does
+            errors += (Pauli._of_rows(unit, zero, 0), Pauli._of_rows(unit, unit, 3),
+                       Pauli._of_rows(zero, unit, 0))
+            labels += (f"X{q}", f"Y{q}", f"Z{q}")
         return cls(errors, labels)
 
 

@@ -51,11 +51,25 @@ class Pauli:
         return cls(np.zeros(n, dtype=np.uint8), np.zeros(n, dtype=np.uint8))
 
     @classmethod
+    def _of_rows(cls, x: np.ndarray, z: np.ndarray, phase_exp: int) -> "Pauli":
+        """Take 0/1 uint8 rows of equal length uncopied; they become
+        read-only, so operators may share them."""
+        p = cls.__new__(cls)
+        p._set(x, z, phase_exp)
+        return p
+
+    @classmethod
     def single(cls, n: int, qubit: int, letter: str) -> "Pauli":
-        """One non-trivial factor at ``qubit`` (0-based)."""
+        """One factor ``letter``, one of I, X, Y, Z, at ``qubit`` (0-based)."""
         if not 0 <= qubit < n:
             raise ValueError(f"qubit {qubit} out of range for n={n}")
-        return cls.from_string("I" * qubit + letter + "I" * (n - qubit - 1))
+        if not (isinstance(letter, str) and letter in _LETTER_ZX):
+            raise ValueError(f"letter must be one of I, X, Y, Z, got {letter!r}")
+        z_bit, x_bit = _LETTER_ZX[letter]
+        zero, unit = np.zeros(n, dtype=np.uint8), np.zeros(n, dtype=np.uint8)
+        unit[qubit] = 1
+        # Y = i X Z: the letter's own i is taken out of the phase, as in from_string
+        return cls._of_rows(unit if x_bit else zero, unit if z_bit else zero, -(z_bit & x_bit))
 
     @classmethod
     def from_string(cls, s: str) -> "Pauli":
@@ -82,10 +96,9 @@ class Pauli:
         return _PHASES[self.phase_exp]
 
     def __str__(self) -> str:
-        y_count = int(np.count_nonzero(self.z & self.x))
-        token = _EXP_TOKEN[(self.phase_exp + y_count) % 4]
-        letters = (2 * self.z + self.x).tobytes().translate(_CODE_LETTER).decode("ascii")
-        return token + letters
+        codes = ((self.z << 1) | self.x).tobytes()  # 2 z + x per qubit; 3 is a Y
+        token = _EXP_TOKEN[(self.phase_exp + codes.count(3)) % 4]
+        return token + codes.translate(_CODE_LETTER).decode("ascii")
 
     def __repr__(self) -> str:
         return f"Pauli({str(self)!r})"

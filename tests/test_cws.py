@@ -214,6 +214,23 @@ class TestErrorSet:
         assert str(es.errors[0]) == "XI"
         assert str(es.errors[4]) == "IY"
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_weight_one_equals_the_set_parsed_from_strings(self, n):
+        entries = [{"label": f"{letter}{q + 1}", "pauli": "I" * q + letter + "I" * (n - q - 1)}
+                   for q in range(n) for letter in "XYZ"]
+        parsed = cws.errors_from_entries(entries, n)
+        built = cws.ErrorSet.weight_one(n)
+        assert built.labels == parsed.labels
+        assert built.errors == parsed.errors
+        assert [str(e) for e in built.errors] == [e["pauli"] for e in entries]
+
+    def test_weight_one_rows_are_read_only(self):
+        """The errors share their rows, so none of them may change one."""
+        for e in cws.ErrorSet.weight_one(4).errors:
+            for row in (e.x, e.z):
+                with pytest.raises(ValueError, match="read-only"):
+                    row[0] = 1 - row[0]
+
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError, match="unique"):
             cws.ErrorSet([Pauli.identity(2), Pauli.identity(2)], ["a", "a"])

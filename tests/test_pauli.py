@@ -52,6 +52,36 @@ class TestStringForm:
         assert Pauli.from_string(str(p)) == p
 
 
+class TestSingle:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_equals_parsed_string(self, n):
+        for qubit in range(n):
+            for letter in "IXYZ":
+                p = Pauli.single(n, qubit, letter)
+                text = "I" * qubit + letter + "I" * (n - qubit - 1)
+                q = Pauli.from_string(text)
+                assert np.array_equal(p.x, q.x) and np.array_equal(p.z, q.z)
+                assert p.x.dtype == q.x.dtype == p.z.dtype == np.uint8
+                assert p.phase_exp == q.phase_exp and str(p) == str(q) == text
+
+    def test_rows_are_read_only(self):
+        p = Pauli.single(3, 1, "Y")
+        for row in (p.x, p.z):
+            with pytest.raises(ValueError, match="read-only"):
+                row[0] = 1
+
+    @pytest.mark.parametrize("letter", ["XY", "", "-Y"])
+    def test_rejects_anything_but_one_letter(self, letter):
+        """These used to give a 4-qubit, a 2-qubit and a phased operator."""
+        with pytest.raises(ValueError, match="letter must be one of I, X, Y, Z"):
+            Pauli.single(3, 0, letter)
+
+    @pytest.mark.parametrize("qubit", [-1, 3])
+    def test_rejects_qubit_out_of_range(self, qubit):
+        with pytest.raises(ValueError, match="out of range for n=3"):
+            Pauli.single(3, qubit, "X")
+
+
 def literal_string(p):
     """The string form spelled out qubit by qubit: Y = i X Z adds one i."""
     letters = {(0, 0): "I", (0, 1): "X", (1, 0): "Z", (1, 1): "Y"}
