@@ -136,19 +136,19 @@ def json_text(value) -> str:
             parts.append(int.__repr__(v))
         elif isinstance(v, dict) and v:
             inner = indent + "  "
-            sep = "{\n" + inner
+            sep, comma = "{\n" + inner, ",\n" + inner
             for key in sorted(v):
                 parts.extend((sep, _quote(key), ": "))
                 emit(v[key], inner)
-                sep = ",\n" + inner
+                sep = comma
             parts.append("\n" + indent + "}")
         elif isinstance(v, list) and v:
             inner = indent + "  "
-            sep = "[\n" + inner
+            sep, comma = "[\n" + inner, ",\n" + inner
             for item in v:
                 parts.append(sep)
                 emit(item, inner)
-                sep = ",\n" + inner
+                sep = comma
             parts.append("\n" + indent + "]")
         elif isinstance(v, (dict, list)):
             parts.append("{}" if isinstance(v, dict) else "[]")
