@@ -267,10 +267,9 @@ class ErrorSet:
         units.setflags(write=False)
         errors, labels = [], []
         for q, unit in enumerate(units, 1):
-            # Y = i X Z carries phase exponent 3, as Pauli.single("Y") does
-            errors += (Pauli._of_rows(unit, zero, 0), Pauli._of_rows(unit, unit, 3),
-                       Pauli._of_rows(zero, unit, 0))
-            labels += (f"X{q}", f"Y{q}", f"Z{q}")
+            for letter in "XYZ":
+                errors.append(Pauli._factor(letter, unit, zero))
+                labels.append(f"{letter}{q}")
         return cls(errors, labels)
 
 

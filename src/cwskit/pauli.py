@@ -51,25 +51,26 @@ class Pauli:
         return cls(np.zeros(n, dtype=np.uint8), np.zeros(n, dtype=np.uint8))
 
     @classmethod
-    def _of_rows(cls, x: np.ndarray, z: np.ndarray, phase_exp: int) -> "Pauli":
-        """Take 0/1 uint8 rows of equal length uncopied; they become
-        read-only, so operators may share them."""
-        p = cls.__new__(cls)
-        p._set(x, z, phase_exp)
-        return p
-
-    @classmethod
     def single(cls, n: int, qubit: int, letter: str) -> "Pauli":
         """One factor ``letter``, one of I, X, Y, Z, at ``qubit`` (0-based)."""
         if not 0 <= qubit < n:
             raise ValueError(f"qubit {qubit} out of range for n={n}")
         if not (isinstance(letter, str) and letter in _LETTER_ZX):
             raise ValueError(f"letter must be one of I, X, Y, Z, got {letter!r}")
-        z_bit, x_bit = _LETTER_ZX[letter]
-        zero, unit = np.zeros(n, dtype=np.uint8), np.zeros(n, dtype=np.uint8)
+        unit = np.zeros(n, dtype=np.uint8)
         unit[qubit] = 1
+        return cls._factor(letter, unit, np.zeros(n, dtype=np.uint8))
+
+    @classmethod
+    def _factor(cls, letter: str, unit: np.ndarray, zero: np.ndarray) -> "Pauli":
+        """``letter`` at the qubit where the 0/1 uint8 row ``unit`` is 1,
+        given the zero row of the same length.  The rows are taken uncopied
+        and become read-only, so operators may share them."""
+        z_bit, x_bit = _LETTER_ZX[letter]
+        p = cls.__new__(cls)
         # Y = i X Z: the letter's own i is taken out of the phase, as in from_string
-        return cls._of_rows(unit if x_bit else zero, unit if z_bit else zero, -(z_bit & x_bit))
+        p._set(unit if x_bit else zero, unit if z_bit else zero, -(z_bit & x_bit))
+        return p
 
     @classmethod
     def from_string(cls, s: str) -> "Pauli":
