@@ -406,7 +406,7 @@ def plan_out_in_missing_directory(tmp_path, monkeypatch):
 
 
 def plan_out_empty(tmp_path, monkeypatch):
-    """An empty ``--out`` once sent the plan to stdout and wrote no file."""
+    """An empty path names no file; the plan must not go to stdout instead."""
     return ["plan", CODE, "--out", ""], "error: argument --out: '' is not a file in a writable directory"
 
 

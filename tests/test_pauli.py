@@ -72,7 +72,7 @@ class TestSingle:
 
     @pytest.mark.parametrize("letter", ["XY", "", "-Y"])
     def test_rejects_anything_but_one_letter(self, letter):
-        """These used to give a 4-qubit, a 2-qubit and a phased operator."""
+        """Any other string would change the operator's size or phase."""
         with pytest.raises(ValueError, match="letter must be one of I, X, Y, Z"):
             Pauli.single(3, 0, letter)
 
