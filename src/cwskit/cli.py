@@ -78,7 +78,7 @@ def _load_code(path: str) -> tuple[CwsCode, ErrorSet | None]:
 
 
 def _resolve_errors(code: CwsCode, file_errors: ErrorSet | None, errors_path: str | None) -> ErrorSet:
-    if errors_path:
+    if errors_path is not None:
         data = _load_json(errors_path)
         entries = data.get("errors") if isinstance(data, dict) else data
         try:

@@ -410,6 +410,11 @@ def plan_out_empty(tmp_path, monkeypatch):
     return ["plan", CODE, "--out", ""], "error: argument --out: '' is not a file in a writable directory"
 
 
+def plan_errors_empty(tmp_path, monkeypatch):
+    """An empty path names no file; the plan must not fall back to the weight-one set."""
+    return ["plan", CODE, "--errors", ""], "error: no such file: "
+
+
 def plan_out_is_a_directory(tmp_path, monkeypatch):
     return ["plan", CODE, "--out", str(tmp_path)], f"argument --out: {str(tmp_path)!r} is not a file"
 
@@ -586,6 +591,7 @@ EDITED_FAULTS = {
     plan_path_is_a_directory,
     plan_out_in_missing_directory,
     plan_out_empty,
+    plan_errors_empty,
     plan_out_is_a_directory,
     *(pytest.param(fault, id=name) for name, fault in {**EDITED_FAULTS, **USAGE_FAULTS}.items()),
 ])
