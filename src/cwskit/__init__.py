@@ -9,7 +9,7 @@ state-vector oracle at small qubit counts.
 
 import importlib
 
-from . import cws, gf2, observables, pauli, verify
+from . import cws, gf2, observables, pauli
 from .cws import CwsCode, ErrorSet, InvalidCodeError, build_code, detects
 from .observables import (
     DecodingPlan,
@@ -44,8 +44,9 @@ __all__ = [
 
 
 def __getattr__(name):
-    # ``cli`` loads on first access, so ``python -m cwskit.cli`` does not
-    # find it already imported by the package
-    if name == "cli":
-        return importlib.import_module(f"{__name__}.cli")
+    # ``cli`` and ``verify`` load on first access: ``python -m cwskit.cli``
+    # does not find cli already imported by the package, and numpy loads
+    # with the dense oracle of ``verify``, not with the package
+    if name in ("cli", "verify"):
+        return importlib.import_module(f"{__name__}.{name}")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,7 +22,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from . import gf2, verify
+from . import gf2
 from .cws import (
     CwsCode,
     ErrorSet,
@@ -31,11 +31,11 @@ from .cws import (
     detects,
     errors_from_entries,
     from_dict,
+    json_binary,
     json_field,
     json_list,
     json_sign,
     json_value,
-    json_vector,
 )
 from .observables import (
     MODES,
@@ -43,10 +43,9 @@ from .observables import (
     Type4Observable,
     build_decoding_plan,
     eigenvalues,
-    pauli_normalizer_generators,
-    pauli_syndrome_partition,
     sign_string,
     stabilizes,
+    syndrome_classes,
 )
 
 
@@ -98,11 +97,11 @@ def cmd_analyze(args) -> int:
     print("generators:")
     for i, g in enumerate(code.generators):
         print(f"  s_{i + 1} = {g}")
-    print(f"codeword matrix rank: {gf2.rank(code.codewords)}")
-    basis = pauli_normalizer_generators(code)
+    print(f"codeword matrix rank: {len(gf2.eliminate(list(code.codeword_rows), code.n))}")
+    basis = code.c_factor.int_kernel()  # pauli_normalizer_generators, packed
     print(f"pauli decoding observables (kernel basis, dimension {len(basis)}):")
     for i, o in enumerate(basis):
-        print(f"  O_{i + 1} = {gf2.format_vector(o)}")
+        print(f"  O_{i + 1} = {gf2.format_int(o, code.n)}")
     undetected = 0
     print(f"detectability of {len(errors)} errors:")
     for label, e in errors:
@@ -198,7 +197,7 @@ class Claims:
     are failures found while reading, such as a plan class left unsplit."""
 
     errors: ErrorSet
-    layer: list | None  # 0/1 vectors
+    layer: list[int] | None  # packed exponents
     classes: list[tuple[str, list[int]]]
     observables: list[Claim]
     entries: dict[str, Type4Observable | ValueError] | None = None
@@ -206,7 +205,7 @@ class Claims:
 
 
 def _check_lengths(n: int, vectors) -> None:
-    """ValueError naming the first (JSON path, vector) pair not of length n."""
+    """ValueError naming the first (JSON path, 0/1 string) pair not of length n."""
     for at, v in vectors:
         if len(v) != n:
             raise ValueError(f"field {at!r} has length {len(v)}, code has n={n}")
@@ -226,10 +225,10 @@ def _read_plan(code: CwsCode, fingerprint: str, path: str) -> Claims:
     try:
         if plan.n != code.n:
             raise ValueError(f"field 'n' is {plan.n}, code has n={code.n}")
-        _check_lengths(code.n, [
-            *((f"pauli_observables[{k}]", o) for k, o in enumerate(plan.pauli_observables)),
-            *((f"type4_observables[{k}].{key}", getattr(a, key))
-              for k, a in enumerate(plan.type4_observables) for key in ("v", "v1", "v2")),
+        _check_lengths(code.n, [  # on the strings: the plan holds its vectors packed
+            *((f"pauli_observables[{k}]", o) for k, o in enumerate(data["pauli_observables"])),
+            *((f"type4_observables[{k}].{key}", a[key])
+              for k, a in enumerate(data["type4_observables"]) for key in ("v", "v1", "v2")),
         ])
         errors = errors_from_entries(
             [{"label": l, "pauli": p} for l, p in zip(plan.error_labels, plan.error_paulis)],
@@ -290,12 +289,13 @@ def _read_table(code: CwsCode, file_errors: ErrorSet | None, path: str) -> Claim
             except ValueError as exc:
                 entries[name] = exc
                 continue
-            _check_lengths(code.n, ((f"{at}.{key}", getattr(obs, key)) for key in ("v", "v1", "v2")))
+            _check_lengths(code.n, ((f"{at}.{key}", entry[key]) for key in ("v", "v1", "v2")))
             entries[name] = obs
         if "pauli_observables" in data:
             vectors = json_field(data, "pauli_observables", list)
-            layer = [json_vector(o, f"pauli_observables[{k}]") for k, o in enumerate(vectors)]
-            _check_lengths(code.n, ((f"pauli_observables[{k}]", o) for k, o in enumerate(layer)))
+            strings = [json_binary(o, f"pauli_observables[{k}]") for k, o in enumerate(vectors)]
+            _check_lengths(code.n, ((f"pauli_observables[{k}]", o) for k, o in enumerate(strings)))
+            layer = [int(o, 2) for o in strings]
         for at, cls in json_list(data, "classes", dict) if "classes" in data else []:
             name, syndrome, given = (json_field(cls, key, kind, at) for key, kind in
                                      (("observable", str), ("syndrome", str), ("signs", dict)))
@@ -314,6 +314,8 @@ def _read_table(code: CwsCode, file_errors: ErrorSet | None, path: str) -> Claim
 
 
 def cmd_verify(args) -> int:
+    from . import verify  # the dense oracle, and numpy with it, load for verify alone
+
     start = time.perf_counter()
     code, file_errors = _load_code(args.code)
     fingerprint = code_fingerprint(code)
@@ -322,17 +324,18 @@ def cmd_verify(args) -> int:
     else:
         claims = _read_table(code, file_errors, args.external)
     errors = claims.errors
+    words = [classical_word(code, e) for e in errors.errors]  # read by the partition and the signs
     failures: list[str] = []
     if claims.layer is not None:
         # a layer element S^O must commute with every codeword operator Z^(C_i): C O = 0
         for k, o in enumerate(claims.layer):
-            disturbed = gf2.int_matvec(code.codeword_rows, gf2.to_int(o))  # bit K - 1 - i: C_i
+            disturbed = gf2.int_matvec(code.codeword_rows, o)  # bit K - 1 - i: C_i
             if disturbed:
                 failures.append(f"pauli_observables[{k}] anticommutes with codeword operator"
                                 f" C_{code.num_codewords - disturbed.bit_length() + 1}")
         partition = {
             sign_string(cls.signs): sorted(errors.labels[i] for i in cls.members)
-            for cls in pauli_syndrome_partition(code, errors, claims.layer)
+            for cls in syndrome_classes(words, claims.layer)
         }
         for syndrome, members in claims.classes:
             expected = sorted(errors.labels[i] for i in members)
@@ -362,7 +365,7 @@ def cmd_verify(args) -> int:
     for claim in claims.observables:
         out = notes.setdefault(claim.owner, [])
         obs = claim.observable
-        signs = eigenvalues(code, [classical_word(code, errors.errors[i]) for i in claim.signs], obs)
+        signs = eigenvalues(code, [words[i] for i in claim.signs], obs)
         if not all(signs):
             labels = ", ".join(errors.labels[i] for i in claim.signs)
             out.append(f"{claim.name}: leaks on {{{labels}}}")
@@ -383,7 +386,7 @@ def cmd_verify(args) -> int:
         print("external observables:")
         for name, obs in claims.entries.items():
             vectors = "" if isinstance(obs, ValueError) else "".join(
-                f"{key}={gf2.format_vector(getattr(obs, key))} " for key in ("v", "v1", "v2")
+                f"{key}={value} " for key, value in obs.to_dict().items() if key != "sign"
             )
             print(f"  {name}: {vectors}{'INVALID' if notes[name] else 'ok'}")
     for owner, messages in notes.items():

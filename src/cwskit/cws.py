@@ -16,9 +16,8 @@ import reprlib
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import numpy as np
-
 from . import gf2
+from .gf2 import np
 from .pauli import Pauli
 
 
@@ -33,13 +32,13 @@ class CwsCode:
     ``codeword_rows``, the codewords, row 0 the all-zero word.
 
     Everything else is derived on first read and kept.  The read-only 0/1
-    arrays ``adjacency`` and ``codewords`` and the stabilizer
-    ``generators`` serve the I/O boundary and the dense oracle, so a plan
-    builds none of them.  The codeword matrix C is factored
-    (``gf2.Factor``) once as ``c_factor`` and once transposed as
-    ``ct_factor``; every plan-path solve and kernel is answered from those
-    factors, so a plan eliminates C and C^T at most once each, and loading
-    a code, as ``verify`` does, builds neither."""
+    arrays ``adjacency``, ``codewords`` and ``kernel`` serve the array API
+    and the dense oracle, so a plan builds none of them; the stabilizer
+    ``generators`` are built packed, for ``analyze`` and the oracle.  The
+    codeword matrix C is factored (``gf2.Factor``) once as ``c_factor`` and
+    once transposed as ``ct_factor``; every plan-path solve and kernel is
+    answered from those factors, so a plan eliminates C and C^T at most
+    once each, and loading a code, as ``verify`` does, builds neither."""
 
     n: int
     adjacency_rows: tuple[int, ...]
@@ -62,8 +61,8 @@ class CwsCode:
     @cached_property
     def generators(self) -> list[Pauli]:
         """The stabilizer generators: X at vertex i with Z on row i of M."""
-        eye = np.eye(self.n, dtype=np.uint8)
-        return [Pauli(x=eye[i], z=row) for i, row in enumerate(self.adjacency)]
+        n = self.n
+        return [Pauli._of(n, 1 << (n - 1 - i), row) for i, row in enumerate(self.adjacency_rows)]
 
     @cached_property
     def c_factor(self) -> gf2.Factor:
@@ -144,13 +143,14 @@ def _checked(shape: tuple[int, int], rows: list[str], words) -> CwsCode:
 def classical_word(code: CwsCode, e: Pauli) -> int:
     """Classical word z + M x of a Pauli error, phase discarded, packed in
     the ``gf2.to_int`` order from the rows of M: the one place it is formed."""
-    if e.n != code.n:
-        raise ValueError(f"error acts on {e.n} qubits, code has {code.n}")
-    # e.z holds one 0/1 byte per entry, so its hex reads "0", then the bit, per entry
-    word, rows = int(e.z.tobytes().hex()[1::2] or "0", 2), code.adjacency_rows
-    for i, bit in enumerate(e.x.tobytes()):  # M x: M is symmetric, its columns are its rows
-        if bit:
-            word ^= rows[i]
+    n = code.n
+    if e.n != n:
+        raise ValueError(f"error acts on {e.n} qubits, code has {n}")
+    (x, word), rows = e.packed, code.adjacency_rows
+    while x:  # M x: M is symmetric, its columns are its rows
+        low = x & -x  # the bit of qubit n - low.bit_length()
+        word ^= rows[n - low.bit_length()]
+        x ^= low
     return word
 
 
@@ -195,7 +195,7 @@ def detects(code: CwsCode, e: Pauli) -> DetectionResult:
     """
     word = classical_word(code, e)
     if not word:
-        overlap = gf2.int_matvec(code.codeword_rows, gf2.to_int(e.x))  # bit K - 1 - i: <C_i, x>
+        overlap = gf2.int_matvec(code.codeword_rows, e.packed[0])  # bit K - 1 - i: <C_i, x>
         if overlap:
             i = code.num_codewords - overlap.bit_length()
             return DetectionResult(
@@ -261,14 +261,12 @@ class ErrorSet:
 
     @classmethod
     def weight_one(cls, n: int) -> "ErrorSet":
-        """All 3n single-qubit errors ordered X_1, Y_1, Z_1, X_2, ...; they
-        share read-only unit rows and one zero row."""
-        zero, units = np.zeros(n, dtype=np.uint8), np.eye(n, dtype=np.uint8)
-        units.setflags(write=False)
+        """All 3n single-qubit errors ordered X_1, Y_1, Z_1, X_2, ..., built
+        packed."""
         errors, labels = [], []
-        for q, unit in enumerate(units, 1):
+        for q in range(1, n + 1):
             for letter in "XYZ":
-                errors.append(Pauli._factor(letter, unit, zero))
+                errors.append(Pauli._factor(letter, n, 1 << (n - q)))
                 labels.append(f"{letter}{q}")
         return cls(errors, labels)
 
@@ -381,9 +379,9 @@ def json_sign(value, path: str) -> int:
     return value
 
 
-def json_vector(value, path: str) -> np.ndarray:
-    """A 0/1 string parsed by ``gf2.parse_vector``."""
+def json_binary(value, path: str) -> str:
+    """A 0/1 string checked by ``gf2.binary_string``; ``int(s, 2)`` packs it."""
     try:
-        return gf2.parse_vector(value)
+        return gf2.binary_string(value)
     except ValueError as exc:
         raise ValueError(f"field {path!r}: {exc}") from None

@@ -22,6 +22,12 @@ The array functions (``rref``, ``kernel_basis``, ``solve``,
 ``coset_minimum``, ``enumerate_span`` and the rest) keep their numpy form
 for their callers.
 
+numpy loads on first use.  ``np`` here is a stand-in module that imports
+numpy when one of its attributes is first read and keeps each attribute
+it fetched; ``pauli``, ``cws`` and ``observables`` reach numpy only
+through it or through the array functions.  So the packed functions, and
+with them ``plan`` and ``analyze``, run without importing numpy at all.
+
 Linear systems are solved by factor-then-apply: ``Factor`` eliminates a
 matrix m once, recording the row operations T that bring it to reduced
 echelon form, and every right-hand side b is then answered by the product
@@ -31,9 +37,21 @@ one elimination of m.
 
 from __future__ import annotations
 
+import importlib
 import reprlib
+import types
 
-import numpy as np
+
+class _Numpy(types.ModuleType):
+    """numpy, imported on first attribute access; each attribute fetched is kept."""
+
+    def __getattr__(self, name: str):
+        value = getattr(importlib.import_module("numpy"), name)
+        setattr(self, name, value)
+        return value
+
+
+np = _Numpy("numpy")
 
 
 def as_vector(v) -> np.ndarray:

@@ -21,8 +21,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import gf2
 from .cws import (
     CwsCode,
@@ -32,12 +30,13 @@ from .cws import (
     classicalize,
     code_fingerprint,
     detects,
+    json_binary,
     json_field,
     json_list,
     json_sign,
     json_value,
-    json_vector,
 )
+from .gf2 import np
 from .pauli import Pauli
 
 
@@ -49,75 +48,76 @@ class UndetectableError(ValueError):
     """An error set contains an error the code cannot detect."""
 
 
-@dataclass(eq=False)
 class Type4Observable:
     """Four-term involution sign * S^v * (-I + S^v1 + S^v2 + S^(v1+v2)) / 2.
 
     v1 and v2 must be distinct and nonzero, which makes the four group
     exponents v, v+v1, v+v2, v+v1+v2 distinct and the operator square to
     the identity.
+
+    Stored packed: ``n``, ``sign`` and ``packed``, (v, v1, v2) as ints in
+    the ``gf2.to_int`` order, which the plan path and ``eigenvalues``
+    read.  ``v``, ``v1``, ``v2`` and ``exponents()`` are read-only 0/1
+    arrays derived from them, for the dense oracle and the array API.
     """
 
-    v: np.ndarray
-    v1: np.ndarray
-    v2: np.ndarray
-    sign: int = 1
-    _packed: tuple[int, int, int] | None = field(default=None, init=False, repr=False)
+    __slots__ = ("n", "sign", "_packed", "v", "v1", "v2")
 
-    def __post_init__(self):
-        self.v = gf2.as_vector(self.v)  # as_vector returns a fresh array
-        self.v1 = gf2.as_vector(self.v1)
-        self.v2 = gf2.as_vector(self.v2)
-        if not (self.v.shape == self.v1.shape == self.v2.shape):
+    def __init__(self, v, v1, v2, sign: int = 1):
+        rows = [gf2.as_vector(u) for u in (v, v1, v2)]
+        if not (rows[0].shape == rows[1].shape == rows[2].shape):
             raise ValueError("v, v1, v2 must have equal length")
-        if not self.v1.any() or not self.v2.any():
-            raise ValueError("v1 and v2 must be nonzero")
-        if np.array_equal(self.v1, self.v2):
-            raise ValueError("v1 and v2 must differ")
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        for arr in (self.v, self.v1, self.v2):
-            arr.setflags(write=False)
+        self._set(rows[0].shape[0], tuple(gf2.pack_rows(rows)), sign)
 
-    @property
-    def n(self) -> int:
-        return int(self.v.shape[0])
+    def _set(self, n: int, packed: tuple[int, int, int], sign: int) -> None:
+        _, v1, v2 = packed
+        if not v1 or not v2:
+            raise ValueError("v1 and v2 must be nonzero")
+        if v1 == v2:
+            raise ValueError("v1 and v2 must differ")
+        if sign not in (1, -1):
+            raise ValueError("sign must be +1 or -1")
+        self.n, self.sign, self._packed = n, sign, packed
+
+    @classmethod
+    def _of(cls, n: int, v: int, v1: int, v2: int, sign: int = 1) -> "Type4Observable":
+        """The observable of packed exponents of n bits, with the checks of
+        the constructor."""
+        obs = cls.__new__(cls)
+        obs._set(n, (v, v1, v2), sign)
+        return obs
 
     @property
     def packed(self) -> tuple[int, int, int]:
-        """(v, v1, v2) as packed ints (``gf2.pack_rows``), packed on first read."""
-        if self._packed is None:
-            self._packed = tuple(gf2.pack_rows((self.v, self.v1, self.v2)))
+        """(v, v1, v2) as packed ints."""
         return self._packed
+
+    def __getattr__(self, name: str):
+        # only an unset slot gets here: v, v1 and v2 are derived on their first read
+        if name not in ("v", "v1", "v2"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        rows = gf2.unpack_rows(self._packed, self.n)
+        rows.setflags(write=False)
+        self.v, self.v1, self.v2 = rows
+        return getattr(self, name)
 
     def exponents(self) -> tuple[np.ndarray, ...]:
         """The four stabilizer exponents carrying coefficients -1/2, 1/2, 1/2, 1/2."""
-        return (self.v, self.v ^ self.v1, self.v ^ self.v2, self.v ^ self.v1 ^ self.v2)
+        v, v1, v2 = self._packed
+        return tuple(gf2.unpack_rows([v, v ^ v1, v ^ v2, v ^ v1 ^ v2], self.n))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Type4Observable):
             return NotImplemented
-        return (
-            self.sign == other.sign
-            and np.array_equal(self.v, other.v)
-            and np.array_equal(self.v1, other.v1)
-            and np.array_equal(self.v2, other.v2)
-        )
+        return (self.n, self.sign, self._packed) == (other.n, other.sign, other._packed)
 
     def __repr__(self) -> str:
-        return (
-            f"Type4Observable(v={gf2.format_vector(self.v)!r},"
-            f" v1={gf2.format_vector(self.v1)!r},"
-            f" v2={gf2.format_vector(self.v2)!r}, sign={self.sign})"
-        )
+        v, v1, v2 = (gf2.format_int(u, self.n) for u in self._packed)
+        return f"Type4Observable(v={v!r}, v1={v1!r}, v2={v2!r}, sign={self.sign})"
 
     def to_dict(self) -> dict:
-        return {
-            "v": gf2.format_vector(self.v),
-            "v1": gf2.format_vector(self.v1),
-            "v2": gf2.format_vector(self.v2),
-            "sign": self.sign,
-        }
+        v, v1, v2 = (gf2.format_int(u, self.n) for u in self._packed)
+        return {"v": v, "v1": v1, "v2": v2, "sign": self.sign}
 
     @classmethod
     def from_dict(cls, d: dict, path: str = "") -> "Type4Observable":
@@ -129,18 +129,21 @@ class Type4Observable:
         json_value(d, dict, path)
         prefix = f"{path}." if path else ""
         v, v1, v2 = (
-            json_vector(json_field(d, key, str, path), prefix + key) for key in ("v", "v1", "v2")
+            json_binary(json_field(d, key, str, path), prefix + key) for key in ("v", "v1", "v2")
         )
         sign = json_sign(d.get("sign", 1), prefix + "sign")
         try:
-            return cls(v, v1, v2, sign)
+            if not len(v) == len(v1) == len(v2):
+                raise ValueError("v, v1, v2 must have equal length")
+            return cls._of(len(v), int(v, 2), int(v1, 2), int(v2, 2), sign)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}" if path else str(exc)) from None
 
 
 def pauli_normalizer_generators(code: CwsCode) -> list[np.ndarray]:
     """Independent exponents of stabilizer elements commuting with every
-    codeword operator: the canonical kernel basis of the codeword matrix."""
+    codeword operator: the canonical kernel basis of the codeword matrix.
+    The plan reads it packed, ``code.c_factor.int_kernel()``."""
     return list(code.kernel)
 
 
@@ -233,19 +236,26 @@ def sign_string(signs: tuple[int, ...]) -> str:
 def pauli_syndrome_partition(
     code: CwsCode, errors: ErrorSet, observables: list[np.ndarray]
 ) -> list[SyndromeClass]:
-    """Group errors by their commutation signs against each S^O, the
-    parities of the packed classical words against the packed exponents.
+    """``syndrome_classes`` of the errors' classical words under the 0/1
+    exponent vectors ``observables``."""
+    for o in observables:
+        if len(o) != code.n:
+            raise ValueError(f"observable length {len(o)} does not match code n={code.n}")
+    return syndrome_classes(classical_words(code, errors), [gf2.to_int(o) for o in observables])
+
+
+def syndrome_classes(words: list[int], observables: list[int]) -> list[SyndromeClass]:
+    """Group errors, given by their packed classical words, by their
+    commutation signs against each S^O for the packed exponents O: the
+    parities of the words against the exponents.
 
     Classes are ordered by sign vector with + before -, members by input
     index; the identity error always lands in the all-plus class.
     """
-    for o in observables:
-        if len(o) != code.n:
-            raise ValueError(f"observable length {len(o)} does not match code n={code.n}")
-    exps = [gf2.to_int(o) for o in observables]
     buckets: dict[tuple[int, ...], list[int]] = {}
-    for idx, w in enumerate(classical_words(code, errors)):
-        buckets.setdefault(tuple(1 - 2 * ((w & o).bit_count() & 1) for o in exps), []).append(idx)
+    for idx, w in enumerate(words):
+        signs = tuple(1 - 2 * ((w & o).bit_count() & 1) for o in observables)
+        buckets.setdefault(signs, []).append(idx)
     ordered = sorted(buckets, key=lambda s: tuple(0 if b == 1 else 1 for b in s))
     return [SyndromeClass(signs, buckets[signs]) for signs in ordered]
 
@@ -492,9 +502,7 @@ def _solved_observable(
     particular = code.c_factor.solve_int(rhs)
     assert particular is not None
     v = gf2.int_coset_minimum(particular, *code.kernel_echelon, code.n)
-    obs = Type4Observable(*gf2.unpack_rows([v, v1, v2], code.n))
-    obs._packed = (v, v1, v2)
-    return obs
+    return Type4Observable._of(code.n, v, v1, v2)
 
 
 @dataclass
@@ -516,14 +524,18 @@ class UnresolvedSubset:
 
 @dataclass
 class DecodingPlan:
-    """Pauli syndrome layer plus conditional four-term refinements."""
+    """Pauli syndrome layer plus conditional four-term refinements.
+
+    ``pauli_observables`` holds the layer's exponents as packed ints of
+    ``n`` bits (``gf2.format_int`` writes them); the four-term observables
+    are packed too (``Type4Observable``)."""
 
     n: int
     mode: str
     code_sha256: str
     error_labels: list[str]
     error_paulis: list[str]
-    pauli_observables: list[np.ndarray]
+    pauli_observables: list[int]
     classes: list[SyndromeClass]
     type4_observables: list[Type4Observable]
     refinements: list[list[RefinementStep]]
@@ -551,7 +563,7 @@ class DecodingPlan:
                 {"label": l, "pauli": p}
                 for l, p in zip(self.error_labels, self.error_paulis)
             ],
-            "pauli_observables": [gf2.format_vector(o) for o in self.pauli_observables],
+            "pauli_observables": [gf2.format_int(o, self.n) for o in self.pauli_observables],
             "type4_observables": [a.to_dict() for a in self.type4_observables],
             "classes": [
                 {
@@ -662,7 +674,7 @@ class DecodingPlan:
             error_labels=labels,
             error_paulis=[json_field(e, "pauli", str, at) for at, e in errors],
             pauli_observables=[
-                json_vector(o, at) for at, o in json_list(d, "pauli_observables", str)
+                int(json_binary(o, at), 2) for at, o in json_list(d, "pauli_observables", str)
             ],
             classes=classes,
             type4_observables=observables,
@@ -676,7 +688,7 @@ class DecodingPlan:
         header = " ".join(f"O{k + 1}" for k in range(len(self.pauli_observables)))
         lines.append(f"pauli observables: {header}")
         for o, vec in enumerate(self.pauli_observables):
-            lines.append(f"  O{o + 1} = {gf2.format_vector(vec)}")
+            lines.append(f"  O{o + 1} = {gf2.format_int(vec, self.n)}")
         for cls, steps in zip(self.classes, self.refinements):
             members = " ".join(self.error_labels[i] for i in cls.members)
             lines.append(f"[{sign_string(cls.signs)}] errors: {members}")
@@ -717,9 +729,9 @@ def build_decoding_plan(
         if not result:
             raise UndetectableError(f"error {label!r} is not detectable: {result.detail}")
         words.append(result.word)
-    errors = errors._with_words(code, words)  # the partition and the searches read these words
-    pauli_obs = pauli_normalizer_generators(code)
-    classes = pauli_syndrome_partition(code, errors, pauli_obs)
+    errors = errors._with_words(code, words)  # the searches read these words
+    pauli_obs = code.c_factor.int_kernel()  # pauli_normalizer_generators, packed
+    classes = syndrome_classes(words, pauli_obs)
     found: list[Type4Observable] = []
     tables: list[list[int]] = []  # eigenvalues of found[k] on every error
     refinements: list[list[RefinementStep]] = []

@@ -9,46 +9,67 @@ X*Z prints as "-iY" on one qubit and Z*X prints as "iY".
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import gf2
+from .gf2 import np
 
 _TOKEN_EXP = {"": 0, "+": 0, "i": 1, "+i": 1, "-": 2, "-i": 3}
 _EXP_TOKEN = {0: "", 1: "i", 2: "-", 3: "-i"}
 _LETTER_ZX = {"I": (0, 0), "X": (0, 1), "Z": (1, 0), "Y": (1, 1)}
-# bytes.translate table: letter -> 2 z + x, any other byte -> 4
-_LETTER_CODE = bytearray([4]) * 256
-for _letter, (_z, _x) in _LETTER_ZX.items():
-    _LETTER_CODE[ord(_letter)] = 2 * _z + _x
-# and back: 2 z + x -> letter
-_CODE_LETTER = bytes.maketrans(
-    bytes(2 * z + x for z, x in _LETTER_ZX.values()), "".join(_LETTER_ZX).encode("ascii")
-)
+# bytes.translate tables: letter -> its x or z bit as a digit "0" or "1"
+_X_DIGIT = bytes.maketrans(b"IXZY", b"0101")
+_Z_DIGIT = bytes.maketrans(b"IXZY", b"0011")
+# and back: hex digit 2 z + x -> letter
+_CODE_LETTER = str.maketrans("0123", "IXZY")
 _PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
 class Pauli:
-    """Immutable n-qubit Pauli operator with exact global phase."""
+    """Immutable n-qubit Pauli operator with exact global phase.
+
+    Stored packed: ``n``, ``phase_exp`` and ``packed``, the parts (x, z)
+    as ints in the ``gf2.to_int`` order.  The string form, products,
+    commutation and the classical word (``cws.classical_word``) work on
+    these ints.  ``x`` and ``z`` are the parts as read-only 0/1 uint8
+    arrays, derived on first read and kept as plain attributes, for the
+    dense oracle.
+    """
+
+    __slots__ = ("n", "phase_exp", "packed", "x", "z")
 
     def __init__(self, x, z, phase_exp: int = 0):
         x = gf2.as_vector(x)  # as_vector returns a fresh array
         z = gf2.as_vector(z)
         if x.shape != z.shape:
             raise ValueError("x and z parts must have equal length")
-        self._set(x, z, phase_exp)
-
-    def _set(self, x: np.ndarray, z: np.ndarray, phase_exp: int) -> None:
-        """Take fresh 0/1 uint8 vectors of equal length as the parts, uncopied."""
+        self._set(x.shape[0], *gf2.pack_rows((x, z)), phase_exp)
         x.setflags(write=False)
         z.setflags(write=False)
-        self.x = x
-        self.z = z
-        self.n = int(x.shape[0])
+        self.x, self.z = x, z  # the coerced arrays are the derived parts
+
+    def _set(self, n: int, x: int, z: int, phase_exp: int) -> None:
+        self.n = int(n)
+        self.packed = (x, z)
         self.phase_exp = int(phase_exp) % 4
 
     @classmethod
+    def _of(cls, n: int, x: int, z: int, phase_exp: int = 0) -> "Pauli":
+        """The operator of the packed parts x and z, taken unchecked."""
+        p = cls.__new__(cls)
+        p._set(n, x, z, phase_exp)
+        return p
+
+    def __getattr__(self, name: str):
+        # only an unset slot gets here: x and z are derived on their first read
+        if name not in ("x", "z"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        rows = gf2.unpack_rows(self.packed, self.n)
+        rows.setflags(write=False)
+        self.x, self.z = rows
+        return getattr(self, name)
+
+    @classmethod
     def identity(cls, n: int) -> "Pauli":
-        return cls(np.zeros(n, dtype=np.uint8), np.zeros(n, dtype=np.uint8))
+        return cls._of(n, 0, 0)
 
     @classmethod
     def single(cls, n: int, qubit: int, letter: str) -> "Pauli":
@@ -57,20 +78,14 @@ class Pauli:
             raise ValueError(f"qubit {qubit} out of range for n={n}")
         if not (isinstance(letter, str) and letter in _LETTER_ZX):
             raise ValueError(f"letter must be one of I, X, Y, Z, got {letter!r}")
-        unit = np.zeros(n, dtype=np.uint8)
-        unit[qubit] = 1
-        return cls._factor(letter, unit, np.zeros(n, dtype=np.uint8))
+        return cls._factor(letter, n, 1 << (n - 1 - qubit))
 
     @classmethod
-    def _factor(cls, letter: str, unit: np.ndarray, zero: np.ndarray) -> "Pauli":
-        """``letter`` at the qubit where the 0/1 uint8 row ``unit`` is 1,
-        given the zero row of the same length.  The rows are taken uncopied
-        and become read-only, so operators may share them."""
+    def _factor(cls, letter: str, n: int, unit: int) -> "Pauli":
+        """``letter`` at the qubit of the packed unit vector ``unit``."""
         z_bit, x_bit = _LETTER_ZX[letter]
-        p = cls.__new__(cls)
         # Y = i X Z: the letter's own i is taken out of the phase, as in from_string
-        p._set(unit if x_bit else zero, unit if z_bit else zero, -(z_bit & x_bit))
-        return p
+        return cls._of(n, unit if x_bit else 0, unit if z_bit else 0, -(z_bit & x_bit))
 
     @classmethod
     def from_string(cls, s: str) -> "Pauli":
@@ -83,23 +98,27 @@ class Pauli:
         if not s:
             raise ValueError("empty Pauli string")
         # one byte per character (a non-ASCII one becomes "?", no letter)
-        codes = s.encode("ascii", "replace").translate(_LETTER_CODE)
-        if 4 in codes:
+        letters = s.encode("ascii", "replace")
+        if letters.translate(None, b"IXYZ"):
             bad = next(c for c in s if c not in _LETTER_ZX)
             raise ValueError(f"invalid Pauli letter {bad!r} in {s!r}")
-        zx = np.frombuffer(codes, dtype=np.uint8)
-        p = cls.__new__(cls)
-        p._set(zx & 1, zx >> 1, _TOKEN_EXP[token] - codes.count(3))
-        return p
+        x = int(letters.translate(_X_DIGIT), 2)
+        z = int(letters.translate(_Z_DIGIT), 2)
+        return cls._of(len(letters), x, z, _TOKEN_EXP[token] - letters.count(b"Y"))
 
     @property
     def phase(self) -> complex:
         return _PHASES[self.phase_exp]
 
     def __str__(self) -> str:
-        codes = ((self.z << 1) | self.x).tobytes()  # 2 z + x per qubit; 3 is a Y
-        token = _EXP_TOKEN[(self.phase_exp + codes.count(3)) % 4]
-        return token + codes.translate(_CODE_LETTER).decode("ascii")
+        if not self.n:
+            return _EXP_TOKEN[self.phase_exp]
+        # each part's binary digits read as hex put one bit per hex digit, so
+        # 2 z + x is one hex digit 0-3 per qubit; 3 is a Y
+        x, z = (int(format(part, "b"), 16) for part in self.packed)
+        codes = format(2 * z + x, f"0{self.n}x")
+        token = _EXP_TOKEN[(self.phase_exp + codes.count("3")) % 4]
+        return token + codes.translate(_CODE_LETTER)
 
     def __repr__(self) -> str:
         return f"Pauli({str(self)!r})"
@@ -110,8 +129,7 @@ class Pauli:
         return (
             self.n == other.n
             and self.phase_exp == other.phase_exp
-            and np.array_equal(self.x, other.x)
-            and np.array_equal(self.z, other.z)
+            and self.packed == other.packed
         )
 
     def __mul__(self, other: "Pauli") -> "Pauli":
@@ -123,15 +141,17 @@ def multiply(p: Pauli, q: Pauli) -> Pauli:
     a factor (-1) per overlap."""
     if p.n != q.n:
         raise ValueError(f"size mismatch: {p.n} vs {q.n}")
-    phase_exp = p.phase_exp + q.phase_exp + 2 * gf2.dot(p.x, q.z)
-    return Pauli(p.x ^ q.x, p.z ^ q.z, phase_exp)
+    (px, pz), (qx, qz) = p.packed, q.packed
+    phase_exp = p.phase_exp + q.phase_exp + 2 * (px & qz).bit_count()
+    return Pauli._of(p.n, px ^ qx, pz ^ qz, phase_exp)
 
 
 def commutes(p: Pauli, q: Pauli) -> bool:
     """True iff the symplectic product <x_p, z_q> + <z_p, x_q> vanishes."""
     if p.n != q.n:
         raise ValueError(f"size mismatch: {p.n} vs {q.n}")
-    return (gf2.dot(p.x, q.z) + gf2.dot(p.z, q.x)) % 2 == 0
+    (px, pz), (qx, qz) = p.packed, q.packed
+    return ((px & qz) ^ (pz & qx)).bit_count() % 2 == 0
 
 
 def stabilizer_element(generators: list[Pauli], v) -> Pauli:
