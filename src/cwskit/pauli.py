@@ -41,21 +41,17 @@ class Pauli:
         z = gf2.as_vector(z)
         if x.shape != z.shape:
             raise ValueError("x and z parts must have equal length")
-        self._set(x.shape[0], *gf2.pack_rows((x, z)), phase_exp)
+        self.n, self.phase_exp = x.shape[0], int(phase_exp) % 4
+        self.packed = tuple(gf2.pack_rows((x, z)))
         x.setflags(write=False)
         z.setflags(write=False)
         self.x, self.z = x, z  # the coerced arrays are the derived parts
-
-    def _set(self, n: int, x: int, z: int, phase_exp: int) -> None:
-        self.n = int(n)
-        self.packed = (x, z)
-        self.phase_exp = int(phase_exp) % 4
 
     @classmethod
     def _of(cls, n: int, x: int, z: int, phase_exp: int = 0) -> "Pauli":
         """The operator of the packed parts x and z, taken unchecked."""
         p = cls.__new__(cls)
-        p._set(n, x, z, phase_exp)
+        p.n, p.packed, p.phase_exp = n, (x, z), phase_exp % 4
         return p
 
     def __getattr__(self, name: str):
@@ -111,12 +107,10 @@ class Pauli:
         return _PHASES[self.phase_exp]
 
     def __str__(self) -> str:
-        if not self.n:
-            return _EXP_TOKEN[self.phase_exp]
         # each part's binary digits read as hex put one bit per hex digit, so
         # 2 z + x is one hex digit 0-3 per qubit; 3 is a Y
         x, z = (int(format(part, "b"), 16) for part in self.packed)
-        codes = format(2 * z + x, f"0{self.n}x")
+        codes = format(2 * z + x, f"0{self.n}x") if self.n else ""
         token = _EXP_TOKEN[(self.phase_exp + codes.count("3")) % 4]
         return token + codes.translate(_CODE_LETTER)
 
