@@ -392,6 +392,17 @@ def error_label_repeated(tmp_path, monkeypatch):
     return ["plan", CODE, "--errors", errors], "labels must be unique, 'XIIIIIIIII' appears more than once"
 
 
+def error_on_other_qubit_count(tmp_path, monkeypatch):
+    errors = write_json(tmp_path / "errors.json", {"errors": ["XII"]})
+    return ["plan", CODE, "--errors", errors], (
+        f"invalid error file {errors}: error 'XII' acts on 3 qubits, expected 10")
+
+
+def errors_not_list(tmp_path, monkeypatch):
+    errors = write_json(tmp_path / "errors.json", {"errors": 5})
+    return ["plan", CODE, "--errors", errors], f"invalid error file {errors}: errors must be a list, got 5"
+
+
 def code_path_is_a_directory(tmp_path, monkeypatch):
     return ["analyze", str(tmp_path)], f"Is a directory: {str(tmp_path)!r}"
 
@@ -532,6 +543,9 @@ EDITED_FAULTS = {
     "plan_observable_vectors_wrong_length": edited(
         "plan", lambda d: d["type4_observables"][0].update(v="00", v1="01", v2="10"),
         "field 'type4_observables[0].v' has length 2, code has n=10"),
+    "plan_observable_vectors_unequal": edited(
+        "plan", lambda d: d["type4_observables"][0].update(v="0"),
+        "type4_observables[0]: v, v1, v2 must have equal length"),
     "table_pauli_observable_not_string": edited(
         "table", lambda d: {"observables": [], "pauli_observables": [5]},
         "field 'pauli_observables[0]': not a binary string: 5"),
@@ -587,6 +601,8 @@ EDITED_FAULTS = {
     external_class_without_observable,
     error_entry_not_string_or_object,
     error_label_repeated,
+    error_on_other_qubit_count,
+    errors_not_list,
     code_path_is_a_directory,
     plan_path_is_a_directory,
     plan_out_in_missing_directory,
