@@ -97,7 +97,7 @@ def cmd_analyze(args) -> int:
     print("generators:")
     for i, g in enumerate(code.generators):
         print(f"  s_{i + 1} = {g}")
-    print(f"codeword matrix rank: {len(gf2.eliminate(list(code.codeword_rows), code.n))}")
+    print(f"codeword matrix rank: {len(code.c_factor.pivots)}")
     basis = code.c_factor.int_kernel()  # pauli_normalizer_generators, packed
     print(f"pauli decoding observables (kernel basis, dimension {len(basis)}):")
     for i, o in enumerate(basis):

@@ -33,7 +33,7 @@ class CwsCode:
 
     Everything else is derived on first read and kept.  The read-only 0/1
     arrays ``adjacency``, ``codewords`` and ``kernel`` serve the array API
-    and the dense oracle, so a plan builds none of them; the stabilizer
+    alone, so neither a plan nor the dense oracle builds them; the stabilizer
     ``generators`` are built packed, for ``analyze`` and the oracle.  The
     codeword matrix C is factored (``gf2.Factor``) once as ``c_factor`` and
     once transposed as ``ct_factor``; every plan-path solve and kernel is

@@ -24,9 +24,9 @@ for their callers.
 
 numpy loads on first use.  ``np`` here is a stand-in module that imports
 numpy when one of its attributes is first read and keeps each attribute
-it fetched; ``pauli``, ``cws`` and ``observables`` reach numpy only
-through it or through the array functions.  So the packed functions, and
-with them ``plan`` and ``analyze``, run without importing numpy at all.
+it fetched.  Only ``gf2``'s array functions and ``verify`` call numpy, so
+the packed functions, and with them ``plan`` and ``analyze``, run without
+importing numpy at all.
 
 Linear systems are solved by factor-then-apply: ``Factor`` eliminates a
 matrix m once, recording the row operations T that bring it to reduced

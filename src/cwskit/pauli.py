@@ -10,7 +10,6 @@ X*Z prints as "-iY" on one qubit and Z*X prints as "iY".
 from __future__ import annotations
 
 from . import gf2
-from .gf2 import np
 
 _TOKEN_EXP = {"": 0, "+": 0, "i": 1, "+i": 1, "-": 2, "-i": 3}
 _EXP_TOKEN = {0: "", 1: "i", 2: "-", 3: "-i"}
@@ -151,8 +150,8 @@ def commutes(p: Pauli, q: Pauli) -> bool:
 def stabilizer_element(generators: list[Pauli], v) -> Pauli:
     """Product generators[0]^v0 * generators[1]^v1 * ... with exact phase.
 
-    The generators must pairwise commute, which is checked at once on the
-    symplectic Gram matrix X Z^T + Z X^T mod 2 (independence is assumed,
+    The generators must pairwise commute, which is checked with
+    ``commutes`` on each pair i < j, row by row (independence is assumed,
     not checked); the fixed ascending order makes the accumulated phase
     deterministic even though the result is order-independent.
 
@@ -170,13 +169,10 @@ def stabilizer_element(generators: list[Pauli], v) -> Pauli:
     for g in generators:
         if g.n != n:
             raise ValueError("generators act on different qubit counts")
-    x = np.array([g.x for g in generators])
-    z = np.array([g.z for g in generators])
-    gram = ((x @ z.T) ^ (z @ x.T)) & 1
-    clash = np.argwhere(np.triu(gram, 1))
-    if clash.size:
-        i, j = (int(k) for k in clash[0])
-        raise ValueError(f"generators {i} and {j} do not commute")
+    for i, g in enumerate(generators):
+        for j in range(i + 1, len(generators)):
+            if not commutes(g, generators[j]):
+                raise ValueError(f"generators {i} and {j} do not commute")
     acc = Pauli.identity(n)
     for g, bit in zip(generators, v):
         if bit:

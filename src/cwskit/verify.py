@@ -7,7 +7,9 @@ x, z packed as integers, i^k Z^z X^x takes amplitude k ^ x to k with sign
 (-1)^popcount(k & z), read from a parity table built by doubling and
 cached per n with the index range.  The oracle exists to double-check
 the algebraic modules, so it stays dense and independent of them; the
-command line runs it only up to ``ORACLE_CAP`` qubits.
+command line runs it only up to ``ORACLE_CAP`` qubits.  Its set-up reads
+the packed code rows and exponents, not the code's 0/1 arrays; with
+``gf2``'s array functions, it is the only code that calls numpy.
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ def graph_state(code: CwsCode) -> np.ndarray:
     """
     idx, parity = _tables(code.n)
     odd = np.zeros_like(idx)
-    for q, row in enumerate(code.adjacency):
-        odd ^= (idx >> (code.n - 1 - q)) & parity[idx & gf2.to_int(row[q + 1:])]
+    for q, row in enumerate(code.adjacency_rows):
+        odd ^= (idx >> (code.n - 1 - q)) & parity[idx & (row & ((1 << (code.n - 1 - q)) - 1))]
     signs = np.where(odd, -1.0, 1.0)
     return signs.astype(np.complex128) / np.sqrt(1 << code.n)
 
@@ -97,10 +99,8 @@ def type4_element(code: CwsCode, obs: Type4Observable) -> GroupAlgebraElement:
     if obs.n != code.n:
         raise ValueError(f"observable length {obs.n} does not match code n={code.n}")
     half = 0.5 * obs.sign
-    exps = obs.exponents()
-    return GroupAlgebraElement.from_vectors(
-        code, [(exps[0], -half), (exps[1], half), (exps[2], half), (exps[3], half)]
-    )
+    v, v1, v2 = obs.packed
+    return GroupAlgebraElement(code, {v: -half, v ^ v1: half, v ^ v2: half, v ^ v1 ^ v2: half})
 
 
 def apply(op, state: np.ndarray) -> np.ndarray:
@@ -158,5 +158,4 @@ def codeword_states(code: CwsCode) -> list[np.ndarray]:
     """Basis states of the code: each codeword operator applied to the
     stabilized state."""
     psi = graph_state(code)
-    zeros = np.zeros(code.n, dtype=np.uint8)
-    return [apply(Pauli(x=zeros, z=word), psi) for word in code.codewords]
+    return [apply(Pauli._of(code.n, 0, w), psi) for w in code.codeword_rows]

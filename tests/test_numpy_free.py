@@ -7,9 +7,11 @@ set, given by default, by ``--errors`` and by the code file's own
 each plan's bytes equal the benchmark's pin for the weight-one ring plan
 of its mode; the analyze report equals the one written with numpy loaded.
 ``verify`` must then fail to import numpy, which shows that the guard
-holds.
+holds.  A scan of the sources checks that only ``gf2`` and ``verify``
+import numpy or call it.
 """
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -83,3 +85,25 @@ def test_plan_and_analyze_import_no_numpy(tmp_path):
     with contextlib.redirect_stdout(report):
         assert cli.main(argvs["analyze"]) == 0
     assert without_wall_time(results["analyze"]["out"]) == without_wall_time(report.getvalue())
+
+
+def test_only_gf2_and_verify_call_numpy():
+    """No other module imports numpy or calls ``np.<name>(...)``; they reach
+    numpy only through ``gf2``'s array functions."""
+    offenders = []
+    for path in sorted((REPO / "src" / "cwskit").glob("*.py")):
+        if path.stem in ("gf2", "verify"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"):
+                names = [f"np.{node.func.attr}()"]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} {name}" for name in names
+                          if name.split(".")[0] == "numpy" or name.startswith("np.")]
+    assert offenders == []

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from cwskit.verify import (
     is_involution,
     type4_element,
 )
-from conftest import random_code
+from conftest import CODE_FILE, random_code
 from dense_oracle import element_matrix, graph_state_circuit, pauli_matrix
 
 
@@ -222,3 +223,24 @@ class TestCodewordStates:
         states = verify.codeword_states(ring_code)
         gram = np.array([[np.vdot(a, b) for b in states] for a in states])
         assert np.allclose(gram, np.eye(20), atol=1e-10)
+
+    def test_states_match_the_array_construction(self, ring_code):
+        """Z^(C_i) on the literal graph state, both built from the 0/1 arrays."""
+        psi = literal_graph_state(ring_code.adjacency)
+        zeros = np.zeros(ring_code.n, dtype=np.uint8)
+        expected = [apply(Pauli(x=zeros, z=word), psi).tobytes() for word in ring_code.codewords]
+        assert [s.tobytes() for s in verify.codeword_states(ring_code)] == expected
+
+    def test_oracle_set_up_builds_no_code_arrays(self):
+        code, _ = cws.from_dict(json.loads(CODE_FILE.read_text()))
+        graph_state(code)
+        verify.codeword_states(code)
+        assert not {"adjacency", "codewords"} & set(vars(code))
+
+
+def test_type4_element_terms_are_its_exponents(ring_code, reference_table):
+    for obs in reference_table["observables"].values():
+        half = 0.5 * obs.sign
+        expected = GroupAlgebraElement.from_vectors(
+            ring_code, zip(obs.exponents(), (-half, half, half, half)))
+        assert list(type4_element(ring_code, obs).terms.items()) == list(expected.terms.items())
