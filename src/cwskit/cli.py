@@ -264,6 +264,8 @@ def _read_plan(code: CwsCode, fingerprint: str, path: str) -> Claims:
                       for k, g in enumerate(stuck) if len(g) < 2 or g not in groups or g in stuck[:k])
         faults.extend(f"class {ci}: no step or unresolved entry separates {named(g)}"
                       for g in sorted(groups, key=sorted) if len(g) > 1 and g not in stuck)
+    faults.extend(f"type4_observables[{k}] is used by no step"
+                  for k, count in enumerate(plan.observable_class_counts()) if not count)
     if not claims and not plan.type4_observables and all(len(c.members) < 2 for c in plan.classes):
         print("warning: plan has no refinements to verify (vacuous pass)")
     classes = [(sign_string(c.signs), c.members) for c in plan.classes]

@@ -598,7 +598,7 @@ class DecodingPlan:
 
         Raises ValueError naming the JSON path of the first malformed
         field, such as ``classes[1].steps[0].signs``.  Member labels must
-        name entries of ``errors``, a step's ``observable`` must index
+        name entries of ``errors``, each at most once per list, a step's ``observable`` must index
         ``type4_observables``, and its ``signs`` must give +1 or -1 for
         exactly the errors of its ``applies_to``.  The header must agree
         with the body: ``mode`` is one of the two search modes, ``resolved``
@@ -612,6 +612,8 @@ class DecodingPlan:
             for at, label in json_list(obj, key, str, path):
                 if label not in index:
                     raise ValueError(f"field {at!r} names unknown error {label!r}")
+                if index[label] in out:
+                    raise ValueError(f"field {at!r} repeats error {label!r}")
                 out.append(index[label])
             return out
 

@@ -317,11 +317,13 @@ class TestVerify:
             "class 0: step 0 gives {Y4, Z10} one sign only",
             "class 0: no step or unresolved entry separates {Y4, Z10}",
             "class 0 observable A1: sign on Z10 is +1, expected -1"], 600),
+        ("observable_no_step_uses", ["type4_observables[7] is used by no step"], 600),
     ]])
     def test_refinement_tree_fault_fails(self, tamper, fails, passed, tmp_path, capsys):
         """Class 0 of the ring plan is {Y4, Z10}, split by one step.  Each
         edit below breaks its refinement tree; the oracle still checks
-        every sign the plan states."""
+        every sign the plan states.  The last edit lists an observable that
+        no step uses."""
         data = shipped("plan")
         step = data["classes"][0]["steps"][0]
         if tamper == "unresolved_members_split_by_a_step":
@@ -331,6 +333,9 @@ class TestVerify:
             step.update(applies_to=["Y4"], signs={"Y4": -1})
         elif tamper == "step_twice":
             data["classes"][0]["steps"].append(step)
+        elif tamper == "observable_no_step_uses":  # it does not even stabilize the code
+            data["type4_observables"].append(
+                {"v": "0000000001", "v1": "1000000000", "v2": "0100000000", "sign": 1})
         else:
             step["signs"]["Z10"] = -1
         plan_file = write_json(tmp_path / "plan.json", data)
@@ -586,6 +591,9 @@ EDITED_FAULTS = {
     "plan_class_member_unknown": edited(
         "plan", lambda d: d["classes"][0]["members"].__setitem__(0, "Q9"),
         "field 'classes[0].members[0]' names unknown error 'Q9'"),
+    "plan_step_label_repeated": edited(
+        "plan", lambda d: d["classes"][0]["steps"][0]["applies_to"].append("Y4"),
+        "field 'classes[0].steps[0].applies_to[2]' repeats error 'Y4'"),
     "plan_class_signs_not_plus_minus": edited(
         "plan", lambda d: d["classes"][0].update(signs="+x+-"),
         "field 'classes[0].signs' must be a string of + and -, got '+x+-'"),

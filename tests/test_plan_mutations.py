@@ -4,7 +4,8 @@ A plan decodes only if its steps form the refinement tree of the paper's
 procedure: each step splits a group that the steps before it left
 together, and each group of two or more errors left at the end is one
 ``unresolved`` entry, and its classes are the whole Pauli syndrome
-partition, each listed once.  Every mutant below breaks that tree or that
+partition, each listed once.  No list names an error twice, and every
+four-term observable listed is used by a step.  Every mutant below breaks that tree or that
 cover and must exit 1; the unchanged plan, and the plan with two sibling steps swapped, must
 exit 0.  The plans are the ring code's corollary plan and the two plans
 of the ``large_n`` benchmark slot 1: at n = 13, a class of four errors
@@ -67,6 +68,9 @@ def mutants(plan: dict):
         if parent is not None:
             yield f"move class {ci} step {j} before its parent", edit(
                 lambda p: p["classes"][ci]["steps"].insert(parent, p["classes"][ci]["steps"].pop(j)))
+        yield f"repeat a label of class {ci} step {j}", edit(
+            lambda p: p["classes"][ci]["steps"][j]["applies_to"].append(
+                p["classes"][ci]["steps"][j]["applies_to"][0]))
         yield f"unresolved entry for the group of class {ci} step {j}", edit(
             lambda p: p["unresolved"].append({
                 "class": ci, "members": p["classes"][ci]["steps"][j]["applies_to"],
@@ -80,10 +84,15 @@ def mutants(plan: dict):
         yield f"swap the groups of class {ci} and class {ck} step 0", edit(swap)
     for k, u in enumerate(plan["unresolved"]):
         yield f"drop unresolved entry {k} (class {u['class']})", edit(lambda p: p["unresolved"].pop(k))
+        yield f"repeat a member of unresolved entry {k}", edit(
+            lambda p: p["unresolved"][k]["members"].append(p["unresolved"][k]["members"][0]))
     for ci in range(len(plan["classes"])):
         yield f"drop class {ci}", edit(lambda p: drop_class(p, ci))
         yield f"duplicate class {ci}", edit(lambda p: duplicate_class(p, ci))
     yield "no classes", edit(lambda p: p.update(classes=[], unresolved=[]))
+    n = plan["n"]
+    yield "append an observable no step uses", edit(lambda p: p["type4_observables"].append(
+        {"v": "0" * (n - 1) + "1", "v1": "1" + "0" * (n - 1), "v2": "01" + "0" * (n - 2), "sign": 1}))
 
 
 def drop_class(plan: dict, ci: int) -> None:
@@ -158,6 +167,7 @@ def test_plans_have_the_shapes_the_mutants_need():
     assert (len(n13["unresolved"]), len(n12["unresolved"])) == (1, 5)
     assert any(True for _ in sibling_swaps(n13))
     names = [name for plan in plans.values() for name, _ in mutants(plan)]
-    for kind in ("drop class", "duplicate", "move", "swap", "drop unresolved", "unresolved entry for"):
+    for kind in ("drop class", "duplicate", "move", "swap", "drop unresolved", "unresolved entry for",
+                 "repeat a label", "repeat a member", "append an observable"):
         assert any(name.startswith(kind) for name in names), kind
     assert {"drop class 0", "duplicate class 0", "no classes"} <= set(names)
