@@ -598,24 +598,24 @@ class DecodingPlan:
 
         Raises ValueError naming the JSON path of the first malformed
         field, such as ``classes[1].steps[0].signs``.  Member labels must
-        name entries of ``errors``, each at most once per list, a step's ``observable`` must index
-        ``type4_observables``, and its ``signs`` must give +1 or -1 for
-        exactly the errors of its ``applies_to``.  The header must agree
-        with the body: ``mode`` is one of the two search modes, ``resolved``
-        is true exactly when ``unresolved`` is empty, and each unresolved
-        entry names a class and only members of it.  ``verify`` checks that
-        the steps and entries form a refinement tree.
+        name distinct entries of ``errors``, a step's ``observable`` must
+        index ``type4_observables``, and its ``signs`` must give +1 or -1
+        for exactly the errors of its ``applies_to``.  The header must
+        agree with the body: ``mode`` is one of the two search modes,
+        ``resolved`` is true exactly when ``unresolved`` is empty, and each
+        unresolved entry names a class and only members of it.  ``verify``
+        checks that the steps and entries form a refinement tree.
         """
 
         def members(obj, key, path):
-            out = []
+            out = {}  # error indices as keys, in the order listed
             for at, label in json_list(obj, key, str, path):
                 if label not in index:
                     raise ValueError(f"field {at!r} names unknown error {label!r}")
                 if index[label] in out:
                     raise ValueError(f"field {at!r} repeats error {label!r}")
-                out.append(index[label])
-            return out
+                out[index[label]] = None
+            return list(out)
 
         json_value(d, dict, "")
         errors = json_list(d, "errors", dict)
