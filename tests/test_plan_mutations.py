@@ -5,13 +5,13 @@ procedure: each step splits a group that the steps before it left
 together, and each group of two or more errors left at the end is one
 ``unresolved`` entry, and its classes are the whole Pauli syndrome
 partition, each listed once.  No list names an error twice, and every
-four-term observable listed is used by a step.  Every mutant below breaks that tree or that
-cover and must exit 1; the unchanged plan, and the plan with two sibling steps swapped, must
-exit 0.  The plans are the ring code's corollary plan and the two plans
-of the ``large_n`` benchmark slot 1: at n = 13, a class of four errors
-split by three steps, five more classes with two steps and one
-unresolved entry; at n = 12, five unresolved entries.  Structure needs
-no oracle, so it is off.
+four-term observable listed is used by a step.  Every mutant below
+breaks one of these and must exit 1; the unchanged plan, and the plan
+with two sibling steps swapped, must exit 0.  The plans are the ring
+code's corollary plan and the two plans of the ``large_n`` benchmark
+slot 1: at n = 13, a class of four errors split by three steps, five
+more classes with two steps and one unresolved entry; at n = 12, five
+unresolved entries.  Structure needs no oracle, so it is off.
 """
 
 import contextlib
