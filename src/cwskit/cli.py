@@ -59,13 +59,18 @@ def _report(command: str, code_sha256: str, start: float, passed: int = 0, faile
 
 
 def _load_json(path: str) -> dict:
+    """The JSON value of a UTF-8 file (RFC 8259); any decoding fault,
+    nesting too deep or an integer too long included, is one ValueError
+    that names the file."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise ValueError(f"no such file: {path}")
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed JSON in {path} (line {exc.lineno}, column {exc.colno}): {exc.msg}")
+    except (RecursionError, ValueError) as exc:
+        raise ValueError(f"malformed JSON in {path}: {exc}")
 
 
 def _load_code(path: str) -> tuple[CwsCode, ErrorSet | None]:
@@ -284,6 +289,8 @@ def _read_table(code: CwsCode, file_errors: ErrorSet | None, path: str) -> Claim
         json_value(data, dict, "")
         for at, entry in json_list(data, "observables", dict):
             name = json_field(entry, "name", str, at)
+            if name in entries:
+                raise ValueError(f"field {at + '.name'!r} repeats observable {name!r}")
             for key in ("v", "v1", "v2"):
                 json_value(entry.get(key, ""), str, f"{at}.{key}")
             try:

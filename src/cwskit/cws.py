@@ -366,10 +366,11 @@ def json_field(d: dict, key: str, kind: type, path: str = ""):
 def json_list(d: dict, key: str, kind: type, path: str = "") -> list[tuple[str, object]]:
     """The list ``d[key]`` as (JSON path, item) pairs, each item a ``kind``."""
     at = f"{path}.{key}" if path else key
-    return [
-        (f"{at}[{k}]", json_value(item, kind, f"{at}[{k}]"))
-        for k, item in enumerate(json_field(d, key, list, path))
-    ]
+    pairs = []
+    for k, item in enumerate(json_field(d, key, list, path)):
+        where = f"{at}[{k}]"
+        pairs.append((where, json_value(item, kind, where)))
+    return pairs
 
 
 def json_sign(value, path: str) -> int:

@@ -435,6 +435,26 @@ def plan_out_is_a_directory(tmp_path, monkeypatch):
     return ["plan", CODE, "--out", str(tmp_path)], f"argument --out: {str(tmp_path)!r} is not a file"
 
 
+def json_nested_too_deep(tmp_path, monkeypatch):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    return ["analyze", str(path)], f"malformed JSON in {path}: "
+
+
+def json_not_utf8(tmp_path, monkeypatch):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{}")
+    return ["analyze", str(path)], f"malformed JSON in {path}: "
+
+
+def json_integer_too_long(tmp_path, monkeypatch):
+    """The digit limit and its message differ across Python releases; the
+    line need only name the file."""
+    path = tmp_path / "digits.json"
+    path.write_text('{"n": ' + "7" * 5000 + "}")
+    return ["analyze", str(path)], str(path)
+
+
 def usage(*argv: str, message: str):
     """A fault of the command line itself, found by the argument parser."""
 
@@ -571,6 +591,9 @@ EDITED_FAULTS = {
     "table_observable_vectors_wrong_length": edited(
         "table", lambda d: d["observables"][1].update(v="00", v1="01", v2="10"),
         "field 'observables[1].v' has length 2, code has n=10"),
+    "table_observable_name_repeated": edited(
+        "table", lambda d: d["observables"].append(dict(d["observables"][0], v="0000000001")),
+        "field 'observables[7].name' repeats observable 'A1'"),
     "table_unknown_observable": edited(
         "table", lambda d: d["classes"][0].update(observable="A9"),
         "class +++- names unknown observable 'A9'"),
@@ -617,6 +640,9 @@ EDITED_FAULTS = {
     plan_out_empty,
     plan_errors_empty,
     plan_out_is_a_directory,
+    json_nested_too_deep,
+    json_not_utf8,
+    json_integer_too_long,
     *(pytest.param(fault, id=name) for name, fault in {**EDITED_FAULTS, **USAGE_FAULTS}.items()),
 ])
 def test_input_fault_exits_one_with_single_error_line(fault, tmp_path, monkeypatch, capsys):
