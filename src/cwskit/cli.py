@@ -20,7 +20,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import gf2
 from .cws import (
@@ -182,31 +182,24 @@ def cmd_plan(args) -> int:
     return 0 if plan.complete else 2
 
 
-@dataclass
-class Claim:
-    """Expected eigenvalues of one four-term observable on some errors.
+class Claim(namedtuple("Claim", "owner name observable signs")):
+    """Expected eigenvalues of one four-term observable on some errors:
+    ``signs`` maps an error index to its eigenvalue, in check order.
     Failures read "{name}: ..."; a table's are grouped by entry (owner)."""
 
-    owner: str | None
-    name: str
-    observable: Type4Observable
-    signs: dict[int, int]  # error index -> expected eigenvalue, in check order
+    __slots__ = ()
 
 
-@dataclass
-class Claims:
+class Claims(namedtuple("Claims", "errors layer classes observables entries faults",
+                        defaults=(None, ()))):
     """What ``verify`` checks, read from a plan or an external table.
     ``classes`` (syndrome, member indices) are checked against the partition
-    under ``layer``, if given.  ``entries`` maps a table's observable names to
-    the observable or to the ValueError that made it invalid.  ``faults``
-    are failures found while reading, such as a plan class left unsplit."""
+    under ``layer`` (packed exponents), if given.  ``entries`` maps a table's
+    observable names to the observable or to the ValueError that made it
+    invalid.  ``faults`` are failures found while reading, such as a plan
+    class left unsplit."""
 
-    errors: ErrorSet
-    layer: list[int] | None  # packed exponents
-    classes: list[tuple[str, list[int]]]
-    observables: list[Claim]
-    entries: dict[str, Type4Observable | ValueError] | None = None
-    faults: tuple[str, ...] = ()
+    __slots__ = ()
 
 
 def _check_lengths(n: int, vectors) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import reprlib
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 
 from . import gf2
@@ -25,7 +25,6 @@ class InvalidCodeError(ValueError):
     """A code definition violates a structural invariant."""
 
 
-@dataclass
 class CwsCode:
     """A validated code, held as packed rows in the ``gf2.to_int`` order:
     ``adjacency_rows``, the rows of the adjacency matrix M, and
@@ -40,9 +39,8 @@ class CwsCode:
     answered from those factors, so a plan eliminates C and C^T at most
     once each, and loading a code, as ``verify`` does, builds neither."""
 
-    n: int
-    adjacency_rows: tuple[int, ...]
-    codeword_rows: tuple[int, ...]
+    def __init__(self, n: int, adjacency_rows: tuple[int, ...], codeword_rows: tuple[int, ...]):
+        self.n, self.adjacency_rows, self.codeword_rows = n, adjacency_rows, codeword_rows
 
     @property
     def num_codewords(self) -> int:
@@ -169,16 +167,13 @@ def classical_words(code: CwsCode, errors: "ErrorSet") -> list[int]:
     return [classical_word(code, e) for e in errors.errors]
 
 
-@dataclass
-class DetectionResult:
+class DetectionResult(namedtuple("DetectionResult", "detected word degenerate detail")):
     """What ``detects`` found: whether the error is detected, its classical
     word packed as ``classical_word`` forms it, whether that word is zero
-    (the error is a stabilizer element up to phase), and why."""
+    (the error is a stabilizer element up to phase), and why.  Its truth
+    value is ``detected``."""
 
-    detected: bool
-    word: int
-    degenerate: bool
-    detail: str
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.detected
@@ -214,7 +209,6 @@ def detects(code: CwsCode, e: Pauli) -> DetectionResult:
     return DetectionResult(True, word, False, "classically detected")
 
 
-@dataclass
 class ErrorSet:
     """Ordered Pauli errors with unique human-readable labels.
 
@@ -222,19 +216,15 @@ class ErrorSet:
     (``_with_words``); ``classical_words`` then reads them, and a subset
     carries its own."""
 
-    errors: list[Pauli]
-    labels: list[str]
-    _words: tuple[CwsCode, list[int]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self):
-        if len(self.errors) != len(self.labels):
+    def __init__(self, errors: list[Pauli], labels: list[str]):
+        self.errors, self.labels = errors, labels
+        self._words: tuple[CwsCode, list[int]] | None = None
+        if len(errors) != len(labels):
             raise ValueError("errors and labels differ in length")
-        if len(set(self.labels)) != len(self.labels):
-            repeated = next(l for k, l in enumerate(self.labels) if l in self.labels[:k])
+        if len(set(labels)) != len(labels):
+            repeated = next(l for k, l in enumerate(labels) if l in labels[:k])
             raise ValueError(f"labels must be unique, {repeated!r} appears more than once")
-        sizes = {e.n for e in self.errors}
+        sizes = {e.n for e in errors}
         if len(sizes) > 1:
             raise ValueError("errors act on different qubit counts")
 

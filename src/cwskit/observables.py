@@ -18,8 +18,7 @@ of their ANDs with packed exponents, without forming phased Paulis.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from collections import deque, namedtuple
 
 from . import gf2
 from .cws import (
@@ -220,12 +219,11 @@ def eigenvalue_on_error(code: CwsCode, a: Type4Observable, e: Pauli) -> int:
     return sign
 
 
-@dataclass
-class SyndromeClass:
-    """Errors sharing one sign vector under the measured Pauli observables."""
+class SyndromeClass(namedtuple("SyndromeClass", "signs members")):
+    """Errors sharing one sign vector (a tuple of +1 and -1) under the measured
+    Pauli observables: the indices ``members``."""
 
-    signs: tuple[int, ...]
-    members: list[int]
+    __slots__ = ()
 
 
 def sign_string(signs: tuple[int, ...]) -> str:
@@ -505,41 +503,37 @@ def _solved_observable(
     return Type4Observable._of(code.n, v, v1, v2)
 
 
-@dataclass
-class RefinementStep:
+class RefinementStep(namedtuple("RefinementStep", "observable applies_to signs")):
     """One conditional measurement: which observable, applied to which
     error indices, with the expected sign per index."""
 
-    observable: int
-    applies_to: list[int]
-    signs: dict[int, int]
+    __slots__ = ()
 
 
-@dataclass
-class UnresolvedSubset:
-    class_index: int
-    members: list[int]
-    pairs_searched: int
+class UnresolvedSubset(namedtuple("UnresolvedSubset", "class_index members pairs_searched")):
+    __slots__ = ()
 
 
-@dataclass
 class DecodingPlan:
     """Pauli syndrome layer plus conditional four-term refinements.
 
     ``pauli_observables`` holds the layer's exponents as packed ints of
     ``n`` bits (``gf2.format_int`` writes them); the four-term observables
-    are packed too (``Type4Observable``)."""
+    are packed too (``Type4Observable``).  ``classes`` are the layer's
+    ``SyndromeClass``es, ``refinements`` the ``RefinementStep``s of each
+    class, and ``unresolved`` (a fresh list by default) the
+    ``UnresolvedSubset``s left without a step."""
 
-    n: int
-    mode: str
-    code_sha256: str
-    error_labels: list[str]
-    error_paulis: list[str]
-    pauli_observables: list[int]
-    classes: list[SyndromeClass]
-    type4_observables: list[Type4Observable]
-    refinements: list[list[RefinementStep]]
-    unresolved: list[UnresolvedSubset] = field(default_factory=list)
+    def __init__(self, n: int, mode: str, code_sha256: str, error_labels: list[str],
+                 error_paulis: list[str], pauli_observables: list[int],
+                 classes: list[SyndromeClass], type4_observables: list[Type4Observable],
+                 refinements: list[list[RefinementStep]],
+                 unresolved: list[UnresolvedSubset] | None = None):
+        self.n, self.mode, self.code_sha256 = n, mode, code_sha256
+        self.error_labels, self.error_paulis = error_labels, error_paulis
+        self.pauli_observables, self.classes = pauli_observables, classes
+        self.type4_observables, self.refinements = type4_observables, refinements
+        self.unresolved = [] if unresolved is None else unresolved
 
     @property
     def complete(self) -> bool:

@@ -14,7 +14,6 @@ the packed code rows and exponents, not the code's 0/1 arrays; with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -57,7 +56,6 @@ def graph_state(code: CwsCode) -> np.ndarray:
     return signs.astype(np.complex128) / np.sqrt(1 << code.n)
 
 
-@dataclass(eq=False)
 class GroupAlgebraElement:
     """Real linear combination of stabilizer elements, keyed by exponent.
 
@@ -66,11 +64,9 @@ class GroupAlgebraElement:
     cached because stabilizer products are pure.
     """
 
-    code: CwsCode
-    terms: dict[int, float]
-    _expanded: list[tuple[float, Pauli]] | None = field(
-        default=None, repr=False, compare=False
-    )
+    def __init__(self, code: CwsCode, terms: dict[int, float]):
+        self.code, self.terms = code, terms
+        self._expanded: list[tuple[float, Pauli]] | None = None
 
     @classmethod
     def from_vectors(cls, code: CwsCode, terms) -> "GroupAlgebraElement":

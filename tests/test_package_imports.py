@@ -1,10 +1,13 @@
-"""The package loads each submodule on first access, and the benchmark's
-entry points still reach every module through it.
+"""The package loads each submodule on first access, it never imports
+``dataclasses`` (with ``inspect``, ``ast``, ``dis`` and ``tokenize`` behind
+it, the largest part of start-up the package itself decides), and the
+benchmark's entry points still reach every module through it.
 
-Each check runs in a fresh interpreter, since the test session has already
-imported every module.
+Each import check runs in a fresh interpreter, since the test session has
+already imported every module.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -20,6 +23,9 @@ after_import = loaded()
 cwskit.cws
 after_cws = loaded()
 numpy_loaded = "numpy" in sys.modules
+dataclasses_after_cws = "dataclasses" in sys.modules
+from cwskit import cli, observables
+dataclasses_after_cli = "dataclasses" in sys.modules
 from cwskit import cli, cws, gf2, observables, pauli, verify
 try:
     cwskit.CwsCode
@@ -27,7 +33,8 @@ try:
 except AttributeError as exc:
     missing = str(exc)
 print(json.dumps({"after_import": after_import, "after_cws": after_cws,
-                  "numpy_loaded": numpy_loaded, "missing": missing}))
+                  "numpy_loaded": numpy_loaded, "missing": missing,
+                  "dataclasses": [dataclasses_after_cws, dataclasses_after_cli]}))
 """
 
 TRACED_SCRIPT = r"""
@@ -72,6 +79,23 @@ def test_submodules_load_on_first_access():
     assert result["after_cws"] == ["cwskit.cws", "cwskit.gf2", "cwskit.pauli"]
     assert result["numpy_loaded"] is False
     assert result["missing"] == "module 'cwskit' has no attribute 'CwsCode'"
+    assert result["dataclasses"] == [False, False]
+
+
+def test_no_module_imports_dataclasses():
+    """Records are ``collections.namedtuple`` subclasses or plain classes."""
+    offenders = []
+    for path in sorted((REPO / "src" / "cwskit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno}" for name in names
+                          if name.split(".")[0] == "dataclasses"]
+    assert offenders == []
 
 
 def test_setup_probe_prints_one_float():
