@@ -58,13 +58,24 @@ def _report(command: str, code_sha256: str, start: float, passed: int = 0, faile
     print(f"wall time:   {time.perf_counter() - start:.3f}s")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """An object's pairs as a dict; a key given twice is a ValueError, where
+    ``json`` would keep the last value without a word."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen: set = set()
+        repeated = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ValueError(f"repeated key {repeated!r}")
+    return obj
+
+
 def _load_json(path: str) -> dict:
     """The JSON value of a UTF-8 file (RFC 8259); any decoding fault,
-    nesting too deep or an integer too long included, is one ValueError
-    that names the file."""
+    nesting too deep, an integer too long or a key repeated in one object
+    included, is one ValueError that names the file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except FileNotFoundError:
         raise ValueError(f"no such file: {path}")
     except json.JSONDecodeError as exc:

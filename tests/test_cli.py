@@ -455,6 +455,31 @@ def json_integer_too_long(tmp_path, monkeypatch):
     return ["analyze", str(path)], str(path)
 
 
+def repeated_key(kind: str, old: str, new: str, key: str):
+    """A file whose text repeats a key in one object: the first ``old`` of a
+    shipped file (or of a small error file) becomes ``new``.  Raw text, since
+    a dict cannot hold a repeated key."""
+
+    def fault(tmp_path, monkeypatch):
+        text = {"code": Path(CODE).read_text(), "plan": ring_plan_json(),
+                "table": Path(TABLE).read_text(), "errors": '{"errors": ["X1", "Z2"]}'}[kind]
+        assert old in text
+        path = tmp_path / f"{kind}.json"
+        path.write_text(text.replace(old, new, 1))
+        argv = ["plan", CODE, "--errors", str(path)] if kind == "errors" else argv_for(kind, str(path))
+        return argv, f"malformed JSON in {path}: repeated key {key!r}"
+
+    return fault
+
+
+REPEATED_KEYS = {
+    "code_repeated_key": repeated_key("code", '"n": 10', '"n": 3, "n": 10', "n"),
+    "errors_repeated_key": repeated_key("errors", '"errors"', '"errors": [], "errors"', "errors"),
+    "plan_repeated_key": repeated_key("plan", '"mode"', '"mode": "exhaustive", "mode"', "mode"),
+    "table_repeated_key": repeated_key("table", '"Y2": -1', '"Y2": 1, "Y2": -1', "Y2"),
+}
+
+
 def usage(*argv: str, message: str):
     """A fault of the command line itself, found by the argument parser."""
 
@@ -643,7 +668,8 @@ EDITED_FAULTS = {
     json_nested_too_deep,
     json_not_utf8,
     json_integer_too_long,
-    *(pytest.param(fault, id=name) for name, fault in {**EDITED_FAULTS, **USAGE_FAULTS}.items()),
+    *(pytest.param(fault, id=name)
+      for name, fault in {**EDITED_FAULTS, **REPEATED_KEYS, **USAGE_FAULTS}.items()),
 ])
 def test_input_fault_exits_one_with_single_error_line(fault, tmp_path, monkeypatch, capsys):
     """Nothing reaches stdout: each fault is found before any report begins,
