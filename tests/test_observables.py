@@ -335,6 +335,30 @@ class TestDecodingCriterion:
         }
         assert None in results or len(results) > 1
 
+    def test_usable_on_all_thirty_exactly_inside_ker_c(self, ring_code, ring_errors):
+        """Result 2 of docs/observables.md, by brute force over every pair
+        0 < v1 < v2 whose stabilization system C v = C v1 | C v2 is solvable:
+        the observable is usable on all 30 weight-1 errors exactly when v1
+        and v2 are nonzero elements of ker C, so it splits no Pauli class."""
+        n = ring_code.n
+        words = cws.classical_words(ring_code, ring_errors)
+        images = [gf2.int_matvec(ring_code.codeword_rows, u) for u in range(1 << n)]
+        preimage = {}
+        for u in reversed(range(1 << n)):
+            preimage[images[u]] = u
+        kernel = [u for u in range(1, 1 << n) if not images[u]]
+        stabilizing, usable = 0, set()
+        for v1 in range(1, 1 << n):
+            for v2 in range(v1 + 1, 1 << n):
+                v = preimage.get(images[v1] | images[v2])
+                if v is None:
+                    continue
+                stabilizing += 1
+                if all(eigenvalues(ring_code, words, Type4Observable._of(n, v, v1, v2))):
+                    usable.add((v1, v2))
+        assert len(kernel) == 15 and stabilizing == 49665
+        assert usable == {(a, b) for a in kernel for b in kernel if a < b}
+
 
 class TestEigenvalueOnError:
     def test_identity_error(self, ring_code, reference_table):
