@@ -63,8 +63,8 @@ def _unique_keys(pairs: list) -> dict:
     ``json`` would keep the last value without a word."""
     obj = dict(pairs)
     if len(obj) != len(pairs):
-        seen: set = set()
-        repeated = next(k for k, _ in pairs if k in seen or seen.add(k))
+        keys = [k for k, _ in pairs]
+        repeated = next(k for i, k in enumerate(keys) if k in keys[:i])
         raise ValueError(f"repeated key {repeated!r}")
     return obj
 

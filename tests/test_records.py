@@ -22,19 +22,6 @@ OBS = Type4Observable._of(3, 1, 2, 4)
 XI, IZ = Pauli.from_string("XI"), Pauli.from_string("IZ")
 
 
-def fields(record, names):
-    return [getattr(record, name) for name in names]
-
-
-def build_both_ways(cls, names, values):
-    """The record built by position and by keyword, each with its fields read."""
-    by_position = cls(*values)
-    by_keyword = cls(**dict(zip(names, values)))
-    assert fields(by_position, names) == values
-    assert fields(by_keyword, names) == values
-    return by_position
-
-
 RECORDS = {
     "CwsCode": (cws.CwsCode, ["n", "adjacency_rows", "codeword_rows"], [2, (1, 2), (0, 3)]),
     "DetectionResult": (
@@ -61,7 +48,9 @@ RECORDS = {
 
 @pytest.mark.parametrize("name", list(RECORDS))
 def test_record_fields_by_position_and_keyword(name):
-    build_both_ways(*RECORDS[name])
+    cls, names, values = RECORDS[name]
+    for record in (cls(*values), cls(**dict(zip(names, values)))):
+        assert [getattr(record, field) for field in names] == values
 
 
 def test_group_algebra_element_fields(ring_code):
